@@ -177,7 +177,6 @@ from .service import (
     ServiceHandle,
     encode_video,
     decode_video,
-    request_analysis,
     route_table,
     serve,
 )
@@ -337,7 +336,6 @@ __all__ = [
     "encode_video",
     "get_preset",
     "preset_names",
-    "request_analysis",
     "resolve_config",
     "route_table",
     "serve",

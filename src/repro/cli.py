@@ -820,10 +820,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{loc['frames']} frames at {loc['frames_per_sec']} frames/sec "
             f"({loc['windows_per_sec']} windows/sec)"
         )
-    e2e = sections["end_to_end"]
+    e2e = sections["end_to_end"]["optimized"]
     print(
-        f"end-to-end: baseline {e2e['baseline']['seconds']}s, optimized "
-        f"{e2e['optimized']['seconds']}s -> {e2e['speedup']}x speedup"
+        f"end-to-end: {e2e['seconds']}s ({e2e['frames_per_sec']} frames/sec)"
     )
     ttfr = sections["time_to_first_result"]
     print(

@@ -30,6 +30,15 @@ C = TypeVar("C")
 
 _MISSING = object()
 
+#: Keys older releases wrote that no longer exist, by the name of the
+#: config dataclass that owned them.  Loading drops them silently, so a
+#: report or spooled job written before their removal still resolves to
+#: the same config and hash.  Both were execution-only knobs that never
+#: changed a result.
+RETIRED_KEYS: dict[str, frozenset[str]] = {
+    "ParallelConfig": frozenset({"shared_memory", "oversubscribe"}),
+}
+
 
 def config_to_dict(config: Any) -> Any:
     """Recursively convert a config dataclass to JSON-ready data."""
@@ -108,6 +117,8 @@ def _coerce(value: Any, tp: Any, path: str) -> Any:
             raise _fail(path, tp, value)
         hints = typing.get_type_hints(tp)
         field_names = {f.name for f in dataclasses.fields(tp)}
+        retired = RETIRED_KEYS.get(tp.__name__, frozenset())
+        value = {k: v for k, v in value.items() if k not in retired}
         unknown = set(value) - field_names
         if unknown:
             known = ", ".join(sorted(field_names))

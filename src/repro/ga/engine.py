@@ -26,13 +26,6 @@ from ..runtime import Instrumentation
 FitnessFn = Callable[[np.ndarray], np.ndarray]
 ValidityFn = Callable[[np.ndarray], np.ndarray]
 
-#: Draw ranking parents via a precomputed cdf + ``searchsorted`` instead
-#: of ``rng.choice(p=...)``, which rebuilds the cdf on every call.  The
-#: inline draw consumes the identical RNG stream and returns the
-#: identical index (asserted in tests/test_perf_parity.py).  Flipped off
-#: only by ``repro.perf.compat.legacy_hot_paths``.
-_INLINE_SELECTION = True
-
 
 @dataclass(frozen=True, slots=True)
 class GAConfig:
@@ -175,10 +168,9 @@ class GeneticAlgorithm:
         )
 
         stale = 0
-        ranks_weights = self._ranking_weights(cfg.population_size)
         # Normalised cdf, built once per run — `rng.choice` recomputes
         # exactly this on every draw.
-        ranks_cdf = ranks_weights.cumsum()
+        ranks_cdf = self._ranking_weights(cfg.population_size).cumsum()
         ranks_cdf /= ranks_cdf[-1]
 
         for generation in range(1, cfg.max_generations + 1):
@@ -198,7 +190,7 @@ class GeneticAlgorithm:
             ]
 
             while len(next_population) < cfg.population_size:
-                pa, pb = self._pick_parents(rng, ranks_weights, ranks_cdf)
+                pa, pb = self._pick_parents(rng, ranks_cdf)
                 child = self._make_child(
                     population[pa], population[pb], validity_fn, rng
                 )
@@ -271,27 +263,20 @@ class GeneticAlgorithm:
         return weights / weights.sum()
 
     def _pick_parents(
-        self,
-        rng: np.random.Generator,
-        weights: np.ndarray,
-        cdf: np.ndarray,
+        self, rng: np.random.Generator, cdf: np.ndarray
     ) -> tuple[int, int]:
         if self.config.selection == "tournament":
             # Population is sorted by fitness, so the tournament winner
             # is simply the smallest sampled index.
             size = self.config.tournament_size
-            pa = int(rng.integers(0, weights.size, size).min())
-            pb = int(rng.integers(0, weights.size, size).min())
+            pa = int(rng.integers(0, cdf.size, size).min())
+            pb = int(rng.integers(0, cdf.size, size).min())
             return pa, pb
-        if _INLINE_SELECTION:
-            # `Generator.choice(n, p=w)` normalises w into a cdf and
-            # searches it with one uniform draw; doing the same against
-            # the prebuilt cdf consumes the identical stream.
-            pa = int(cdf.searchsorted(rng.random(), side="right"))
-            pb = int(cdf.searchsorted(rng.random(), side="right"))
-            return pa, pb
-        pa = int(rng.choice(weights.size, p=weights))
-        pb = int(rng.choice(weights.size, p=weights))
+        # `Generator.choice(n, p=w)` normalises w into a cdf and searches
+        # it with one uniform draw; doing the same against the prebuilt
+        # cdf consumes the identical stream (tests/test_perf_parity.py).
+        pa = int(cdf.searchsorted(rng.random(), side="right"))
+        pb = int(cdf.searchsorted(rng.random(), side="right"))
         return pa, pb
 
     def _make_child(

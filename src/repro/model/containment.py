@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import sample_segment_points, world_to_image
 from .pose import GENES, StickPose, forward_kinematics
 from .sticks import BodyDimensions
 from ..imaging.image import ensure_mask
@@ -58,24 +57,22 @@ class ContainmentChecker:
             raise ValueError(
                 f"min_inside_fraction must be in (0, 1], got {min_inside_fraction}"
             )
-        self._region = dilate(mask, box_element(3), iterations=margin) if margin else mask
+        region = dilate(mask, box_element(3), iterations=margin) if margin else mask
         self._height, self._width = mask.shape
         self._dims = dims
-        self._samples = samples_per_stick
         self._min_fraction = min_inside_fraction
-        # Cached sampling offsets and a flat region view: `check` runs
-        # once per offspring attempt, so per-call setup must be nil.
+        # Cached sampling offsets: `check` runs once per offspring
+        # attempt, so per-call setup must be nil.
         if samples_per_stick == 1:
             self._ts = np.array([0.5])
         else:
             self._ts = np.linspace(0.0, 1.0, samples_per_stick)
-        self._region_flat = np.ascontiguousarray(self._region).reshape(-1)
         # Coded lookup with a one-cell border: 0 = out of frame, 1 = in
         # frame but outside the region, 2 = inside the region.  Sample
         # coordinates clamp onto the border, so frame-bounds testing,
         # index clipping and the region gather collapse into one take.
         coded = np.zeros((self._height + 2, self._width + 2), dtype=np.int8)
-        coded[1:-1, 1:-1] = 1 + self._region.astype(np.int8)
+        coded[1:-1, 1:-1] = 1 + region.astype(np.int8)
         self._coded_flat = np.ascontiguousarray(coded).reshape(-1)
         # Verdicts memoised by chromosome bytes.  Offspring are often
         # bit-exact parent copies (low crossover/mutation rates, elites
@@ -83,10 +80,6 @@ class ContainmentChecker:
         # chromosomes many times per frame.  The checker is rebuilt per
         # silhouette, which bounds the cache's lifetime.
         self._verdicts: dict[bytes, bool] = {}
-
-    #: Class-level switch for the batched fast path.  Flipped off only
-    #: by ``repro.perf.compat.legacy_hot_paths`` (bench + parity tests).
-    vectorized = True
 
     def check(self, genes: np.ndarray) -> np.ndarray:
         """Boolean feasibility for each chromosome of a ``(P, 10)`` batch."""
@@ -96,7 +89,7 @@ class ContainmentChecker:
             genes = genes[None, :]
         if genes.shape[1] != GENES:
             raise ValueError(f"expected (P, {GENES}) chromosomes, got {genes.shape}")
-        if self.vectorized and genes.shape[0] == 1:
+        if genes.shape[0] == 1:
             key = genes.tobytes()
             verdict = self._verdicts.get(key)
             if verdict is None:
@@ -106,27 +99,21 @@ class ContainmentChecker:
                     self._verdicts.clear()
                 self._verdicts[key] = verdict
             return verdict if squeeze else np.array([verdict])
-        segments = forward_kinematics(genes, self._dims)
-        if self.vectorized:
-            results = self._check_batch(segments)
-        else:
-            results = np.empty(genes.shape[0], dtype=bool)
-            for p in range(genes.shape[0]):
-                results[p] = self._contained(segments[p])
+        results = self._check_batch(forward_kinematics(genes, self._dims))
         return bool(results[0]) if squeeze else results
 
     def _check_batch(self, segments: np.ndarray) -> np.ndarray:
         """One numpy pass over all ``(P, 8, 2, 2)`` segment batches.
 
-        Produces exactly `_contained` applied per chromosome: the same
-        sample points (same arithmetic as ``sample_segment_points``),
-        the same rounding, the same all-in-frame gate and inside
-        fraction.  Parity is asserted in ``tests/test_perf_parity.py``.
+        Samples every stick at the same points as
+        ``sample_segment_points``, rounds them onto the pixel grid, and
+        requires every sample in frame and ``min_inside_fraction`` of
+        them inside the dilated silhouette.  The per-stick oracle in
+        ``tests/test_perf_parity.py`` pins it chromosome for chromosome.
         """
         vals = self._sample_codes(segments)
         # Code 0 anywhere means a sample fell out of frame (the strict
-        # gate); the inside fraction counts only code-2 samples, exactly
-        # as `_region & in_frame` would.
+        # gate); the inside fraction counts only code-2 samples.
         all_in = vals.min(axis=1) > 0
         return all_in & ((vals == 2).mean(axis=1) >= self._min_fraction)
 
@@ -177,19 +164,3 @@ class ContainmentChecker:
         vals = self._sample_codes(segments)
         fractions = (vals == 2).mean(axis=1)
         return float(fractions[0]) if squeeze else fractions
-
-    def _contained(self, segments: np.ndarray) -> bool:
-        points = sample_segment_points(segments, self._samples)
-        rc = world_to_image(points, self._height)
-        rows = np.rint(rc[:, 0]).astype(int)
-        cols = np.rint(rc[:, 1]).astype(int)
-        in_frame = (
-            (rows >= 0)
-            & (rows < self._height)
-            & (cols >= 0)
-            & (cols < self._width)
-        )
-        if not in_frame.all():
-            return False
-        inside = self._region[rows, cols]
-        return float(inside.mean()) >= self._min_fraction

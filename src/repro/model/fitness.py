@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .geometry import (
     mask_points_world,
     points_to_segments_distance,
+    segment_distances,
     segment_distances_squared,
 )
 from .pose import StickPose, forward_kinematics
@@ -155,7 +155,7 @@ class SilhouetteFitness:
         for start in range(0, population, chunk):
             block = segments[start : start + chunk]  # (C, 8, 2, 2)
             flat = block.reshape(-1, 2, 2)
-            dists = geometry._DISTANCE_IMPL(self._points, flat)
+            dists = segment_distances(self._points, flat)
             dists = dists.reshape(num_points, block.shape[0], NUM_STICKS)
             normalised = dists / self._thickness[None, None, :]
             scores[start : start + block.shape[0]] = (

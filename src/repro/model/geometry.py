@@ -68,59 +68,17 @@ def points_to_segments_distance(points: np.ndarray, segments: np.ndarray) -> np.
         raise ValueError(
             f"segments must have shape (S, 2, 2), got {segments.shape}"
         )
-    return _DISTANCE_IMPL(points, segments)
+    return segment_distances(points, segments)
 
 
-def _segment_distances_fast(points: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Coordinate-split form of the reference kernel.
+def segment_distances(points: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Point-to-segment distances for the fitness hot path.
 
-    Works on (N, S) planes per coordinate instead of stacked (N, S, 2)
-    blocks, which drops the einsum dispatches and halves the size of
-    every temporary.  Each output element goes through the *same*
-    floating-point operations in the same association order as
-    :func:`_segment_distances_reference`, so the results are bitwise
-    identical (asserted in ``tests/test_perf_parity.py``).  dtype
-    follows the inputs: float32 in, float32 out.
+    Dtype-preserving and unvalidated: callers own the shapes.  The
+    einsum oracle in ``tests/test_perf_parity.py`` pins it bitwise.
     """
-    px = points[:, 0:1]  # (N, 1)
-    py = points[:, 1:2]
-    sx = segments[:, 0, 0]  # (S,)
-    sy = segments[:, 0, 1]
-    dx = segments[:, 1, 0] - sx
-    dy = segments[:, 1, 1] - sy
-    length_sq = dx * dx + dy * dy
-
-    relx = px - sx  # (N, S)
-    rely = py - sy
-    dot = relx * dx + rely * dy
-    if length_sq.size and length_sq.min() > 0.0:
-        t = dot / length_sq
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(length_sq > 0.0, dot / length_sq, 0.0)
-    np.clip(t, 0.0, 1.0, out=t)
-    ex = px - (sx + t * dx)
-    ey = py - (sy + t * dy)
-    return np.sqrt(ex * ex + ey * ey)
-
-
-def _segment_distances_reference(
-    points: np.ndarray, segments: np.ndarray
-) -> np.ndarray:
-    """The original einsum kernel, kept as the bitwise ground truth."""
-    starts = segments[:, 0, :]  # (S, 2)
-    deltas = segments[:, 1, :] - starts  # (S, 2)
-    length_sq = np.einsum("sd,sd->s", deltas, deltas)  # (S,)
-
-    # Vector from each start to each point: (N, S, 2)
-    rel = points[:, None, :] - starts[None, :, :]
-    dot = np.einsum("nsd,sd->ns", rel, deltas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(length_sq > 0.0, dot / length_sq, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = starts[None, :, :] + t[..., None] * deltas[None, :, :]
-    diff = points[:, None, :] - closest
-    return np.sqrt(np.einsum("nsd,nsd->ns", diff, diff))
+    distances = segment_distances_squared(points, segments)
+    return np.sqrt(distances, out=distances)
 
 
 def segment_distances_squared(
@@ -153,11 +111,6 @@ def segment_distances_squared(
     ex = px - (sx + t * dx)
     ey = py - (sy + t * dy)
     return ex * ex + ey * ey
-
-
-#: Active distance kernel.  ``repro.perf.compat.legacy_hot_paths`` swaps
-#: in the reference implementation for benchmarking and parity tests.
-_DISTANCE_IMPL = _segment_distances_fast
 
 
 def sample_segment_points(segments: np.ndarray, samples_per_segment: int) -> np.ndarray:

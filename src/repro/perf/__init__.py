@@ -19,14 +19,6 @@ Submodules
     :class:`WorkerPool`, the counted bounded thread pool shared by the
     synchronous service path, the batch fan-out and the async job
     subsystem (:mod:`repro.jobs`).
-``shm``
-    :class:`SharedFrameArena` and :class:`FrameDescriptor`, the
-    zero-copy shared-memory frame plane the ``processes`` backend uses
-    to ship ~100-byte descriptors instead of pickled ndarrays.
-``compat``
-    Context manager restoring the pre-optimisation hot paths — used by
-    the bench harness to measure honest speedups and by the parity
-    tests to prove the optimised kernels are bitwise-identical.
 ``bench``
     The ``slj bench`` harness; writes the ``BENCH_*.json`` trajectory.
 
@@ -39,15 +31,11 @@ from __future__ import annotations
 from .cache import AnalyzerCache
 from .executors import BACKENDS, ParallelConfig, parallel_map
 from .pool import WorkerPool
-from .shm import FrameDescriptor, SharedFrameArena, shm_available
 
 __all__ = [
     "AnalyzerCache",
     "BACKENDS",
-    "FrameDescriptor",
     "ParallelConfig",
-    "SharedFrameArena",
     "WorkerPool",
     "parallel_map",
-    "shm_available",
 ]

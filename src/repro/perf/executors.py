@@ -54,23 +54,11 @@ class ParallelConfig:
 
     ``threads`` suits the numpy-dominated kernels here (they release
     the GIL); ``processes`` buys true parallelism for Python-heavy
-    steps.  With ``shared_memory`` enabled (the default), fan-out
-    sites that support it place frames in a
-    :class:`~repro.perf.shm.SharedFrameArena` and ship ~100-byte
-    descriptors to workers instead of pickled ndarrays; disabling it
-    forces the legacy pickled-copy path.
+    steps, shipping each item to its worker as a pickled copy.
     """
 
     backend: str = "serial"
     workers: int = 4
-    shared_memory: bool = True
-    # Allow more workers than schedulable CPUs.  Off by default: on a
-    # CPU-bound fan-out, oversubscription is pure context-switch
-    # overhead, and on a single-CPU host it makes every pool backend
-    # strictly slower than the serial loop.  Benchmarks (and tests that
-    # must exercise a real cross-process path regardless of the host)
-    # turn it on explicitly.
-    oversubscribe: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -83,14 +71,12 @@ class ParallelConfig:
     def pool_size(self, num_items: int) -> int:
         """Workers actually worth starting for ``num_items`` tasks.
 
-        Capped at :func:`available_cpus` unless ``oversubscribe`` is
-        set; when this returns 1, :func:`parallel_map` skips the pool
-        entirely and runs in-process.
+        Capped at :func:`available_cpus`: on a CPU-bound fan-out, more
+        workers than schedulable CPUs only buys context switching.  When
+        this returns 1, :func:`parallel_map` skips the pool entirely and
+        runs in-process.
         """
-        cap = self.workers
-        if not self.oversubscribe:
-            cap = min(cap, available_cpus())
-        return max(1, min(cap, num_items))
+        return max(1, min(self.workers, available_cpus(), num_items))
 
     @property
     def is_serial(self) -> bool:

@@ -36,9 +36,8 @@ from .cleanup import (
 )
 from .shadow import ShadowMaskConfig, remove_shadows
 from .subtraction import SubtractionConfig, subtract_background
-from ..errors import ReproError, SegmentationError
+from ..errors import SegmentationError
 from ..imaging.components import label_components
-from ..perf import shm
 from ..perf.executors import ParallelConfig, parallel_map
 from ..registry import Registry
 from ..runtime import Instrumentation
@@ -425,7 +424,13 @@ class SegmentationPipeline:
                         self._segment_collect, frames, parallel
                     )
                 else:
-                    results = self._segment_frames_processes(frames, parallel)
+                    results = parallel_map(
+                        _segment_in_worker,
+                        frames,
+                        parallel,
+                        initializer=_init_segmentation_worker,
+                        initargs=(self.config, self._background_result),
+                    )
             segmentations = [seg for seg, _ in results]
             for _, worker_instrumentation in results:
                 self.instrumentation.merge(worker_instrumentation)
@@ -463,106 +468,6 @@ class SegmentationPipeline:
         instrumentation = Instrumentation()
         return self._segment_with(frame, instrumentation), instrumentation
 
-    # ------------------------------------------------------------------
-    # Processes backend: shared-memory fan-out with pickled fallback
-    # ------------------------------------------------------------------
-    def _segment_frames_processes(
-        self, frames: list[np.ndarray], parallel: ParallelConfig
-    ) -> list[tuple[FrameSegmentation, Instrumentation]]:
-        """Fan frames out to a process pool, zero-copy when possible.
-
-        The shared-memory path is strictly an optimisation: any failure
-        to create, attach, or survive the fan-out (no /dev/shm, a
-        SIGKILLed worker breaking the pool, ...) degrades to the
-        pickled-copy path with a logged warning and a bump of the
-        ``shm_fallbacks`` counter surfaced in ``/metrics``.  Genuine
-        segmentation errors propagate unchanged on both paths.
-        """
-        # The arenas only pay off when the fan-out actually crosses a
-        # process boundary; a pool capped to one worker (single-CPU
-        # host) runs in-process, where the arena copies are pure cost.
-        crosses_processes = parallel.pool_size(len(frames)) > 1
-        if crosses_processes and parallel.shared_memory and shm.shm_available():
-            try:
-                return self._segment_frames_shm(frames, parallel)
-            except shm.SharedMemoryUnavailable as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            except ReproError:
-                raise
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            shm.record_fallback(reason)
-            self.instrumentation.count("segmentation.shm_fallbacks", 1)
-        return parallel_map(
-            _segment_in_worker,
-            frames,
-            parallel,
-            initializer=_init_segmentation_worker,
-            initargs=(self.config, self._background_result),
-        )
-
-    def _segment_frames_shm(
-        self, frames: list[np.ndarray], parallel: ParallelConfig
-    ) -> list[tuple[FrameSegmentation, Instrumentation]]:
-        """Segment via shared-memory arenas: descriptors out, masks back.
-
-        Frames live in one read-only arena; each worker writes its six
-        stage masks into a ``(T, 6, H, W)`` result arena at the frame's
-        index, so the only pickled payloads are ~100-byte descriptors
-        outbound and (index, candidates, instrumentation) inbound.  The
-        mask stack is copied out before the arenas are unlinked —
-        returned arrays must outlive the segments.
-        """
-        stack = np.ascontiguousarray(np.stack(frames))
-        height, width = stack.shape[1], stack.shape[2]
-        frames_arena = shm.SharedFrameArena.create(stack)
-        masks_arena: shm.SharedFrameArena | None = None
-        try:
-            masks_arena = shm.SharedFrameArena.create_empty(
-                (len(frames), len(_SHM_MASK_FIELDS), height, width), bool
-            )
-            results = parallel_map(
-                _segment_shm_in_worker,
-                frames_arena.descriptors(),
-                parallel,
-                initializer=_init_segmentation_shm_worker,
-                initargs=(
-                    self.config,
-                    self._background_result,
-                    masks_arena.descriptor(),
-                ),
-            )
-            mask_stacks = np.array(masks_arena.array, copy=True)
-        finally:
-            # The degenerate in-process path attaches through the
-            # worker cache in this very process; drop those mappings
-            # before unlinking so nothing pins the dead segments.
-            shm.detach_all()
-            frames_arena.close()
-            frames_arena.unlink()
-            if masks_arena is not None:
-                masks_arena.close()
-                masks_arena.unlink()
-
-        collected: list[tuple[FrameSegmentation, Instrumentation]] = []
-        for index, candidates, instrumentation in results:
-            masks = mask_stacks[index]
-            collected.append(
-                (
-                    FrameSegmentation(
-                        raw_foreground=masks[0],
-                        after_noise_removal=masks[1],
-                        after_spot_removal=masks[2],
-                        after_hole_fill=masks[3],
-                        detected_shadow=masks[4],
-                        person=masks[5],
-                        candidates=candidates,
-                    ),
-                    instrumentation,
-                )
-            )
-        return collected
-
     def silhouettes(self, video: VideoSequence) -> list[np.ndarray]:
         """Convenience: just the final person mask of every frame."""
         return [seg.person for seg in self.segment_video(video)]
@@ -591,47 +496,3 @@ def _segment_in_worker(
     if _WORKER_PIPELINE is None:  # pragma: no cover - initializer contract
         raise SegmentationError("segmentation worker used before initialisation")
     return _WORKER_PIPELINE._segment_collect(frame)
-
-
-# Mask fields written into the shared result arena, in slot order; the
-# parent reconstructs FrameSegmentation from the same order.
-_SHM_MASK_FIELDS = (
-    "raw_foreground",
-    "after_noise_removal",
-    "after_spot_removal",
-    "after_hole_fill",
-    "detected_shadow",
-    "person",
-)
-
-_WORKER_MASKS: shm.FrameDescriptor | None = None
-
-
-def _init_segmentation_shm_worker(
-    config: SegmentationConfig,
-    background: BackgroundResult,
-    masks_descriptor: shm.FrameDescriptor,
-) -> None:
-    global _WORKER_MASKS
-    _init_segmentation_worker(config, background)
-    _WORKER_MASKS = masks_descriptor
-
-
-def _segment_shm_in_worker(
-    descriptor: shm.FrameDescriptor,
-) -> tuple[int, tuple[np.ndarray, ...], Instrumentation]:
-    """Segment one shared frame; masks go back through the arena.
-
-    Only the frame index, the (usually empty) multi-actor candidate
-    masks and the worker's instrumentation cross the pipe — the six
-    stage masks are written straight into the shared result arena.
-    """
-    if _WORKER_PIPELINE is None or _WORKER_MASKS is None:
-        # pragma: no cover - initializer contract
-        raise SegmentationError("segmentation worker used before initialisation")
-    frame = shm.attached_frame(descriptor)
-    segmentation, instrumentation = _WORKER_PIPELINE._segment_collect(frame)
-    masks = shm.attached_array(_WORKER_MASKS)
-    for slot, field_name in enumerate(_SHM_MASK_FIELDS):
-        masks[descriptor.index, slot] = getattr(segmentation, field_name)
-    return descriptor.index, segmentation.candidates, instrumentation

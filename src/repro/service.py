@@ -7,10 +7,8 @@ respond with advices to the user."  This module implements that
 service over the library.
 
 The HTTP surface is versioned: every endpoint lives under ``/v1/``,
-and the original unversioned paths are served as deprecated aliases —
-same handler, same body, plus a ``Deprecation: true`` response header.
-The full route table (:data:`ROUTES`) is part of the public API and
-snapshot-tested.
+and any other path answers 404 ``not_found``.  The full route table
+(:data:`ROUTES`) is part of the public API and snapshot-tested.
 
 * ``POST /v1/analyze`` — body is a JSON object
   ``{"video_npz_b64": <base64 of a compressed .npz with a 'frames'
@@ -63,7 +61,7 @@ refused with 413 before the payload is read; more than
 ``max_concurrent`` simultaneous analyses are refused with 503 +
 ``Retry-After``; an analysis that exceeds ``deadline_seconds`` is
 answered with 504 (its worker keeps its concurrency slot until it
-actually finishes, so zombies cannot oversubscribe the host).  All
+actually finishes, so zombies cannot overload the host).  All
 analyses — synchronous, batch and jobs — share one bounded
 :class:`~repro.perf.pool.WorkerPool` (``pool_workers``), and
 per-request analyzers are served from an LRU cache keyed by config
@@ -73,8 +71,7 @@ top-level ``"degraded": true`` and a ``"degradation"`` block.
 
 Start a server with :func:`serve` (blocking) or
 :class:`ServiceHandle` (background thread, used by the tests and the
-example).  The client side lives in :class:`repro.client.ServiceClient`;
-the old :func:`request_analysis` helper survives as a deprecated shim.
+example).  The client side lives in :class:`repro.client.ServiceClient`.
 """
 
 from __future__ import annotations
@@ -111,7 +108,6 @@ from .jobs import (
     JobsConfig,
     JobStore,
 )
-from .perf import shm
 from .perf.cache import AnalyzerCache
 from .perf.pool import WorkerPool
 from .pipeline import AnalyzerConfig, JumpAnalyzer
@@ -129,9 +125,8 @@ from .video.sequence import VideoSequence
 #: The one API version this server speaks.
 API_VERSION = "v1"
 
-#: The complete HTTP surface, versioned.  Unversioned aliases of every
-#: route are also served, answering with a ``Deprecation: true``
-#: header.  Snapshot-tested in ``tests/test_api_surface.py``.
+#: The complete HTTP surface, versioned.  Snapshot-tested in
+#: ``tests/test_api_surface.py``.
 ROUTES: tuple[tuple[str, str], ...] = (
     ("GET", "/v1/config"),
     ("GET", "/v1/health"),
@@ -281,27 +276,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "slj/1.0"
 
-    # Set per-request by _route(): True when the client used an
-    # unversioned (deprecated) alias path.
-    _deprecated = False
-
     def _route(self) -> str:
-        """Normalise the request path to its unversioned core.
+        """The request path below ``/v1``, or ``""`` (no route) outside it.
 
-        ``/v1/...`` is the canonical surface; any other prefix is the
-        legacy alias and flags the response as deprecated.  The query
-        string is parsed into ``self._query``.
+        The query string is parsed into ``self._query``.
         """
         parts = urlsplit(self.path)
         self._query = parse_qs(parts.query)
-        path = parts.path
         prefix = f"/{API_VERSION}"
-        if path == prefix or path.startswith(prefix + "/"):
-            self._deprecated = False
-            path = path[len(prefix):] or "/"
-        else:
-            self._deprecated = True
-        return path
+        if not parts.path.startswith(prefix + "/"):
+            return ""
+        return parts.path[len(prefix):]
 
     def _send_json(
         self,
@@ -313,8 +298,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self._deprecated:
-            self.send_header("Deprecation", "true")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -488,7 +471,6 @@ class _Handler(BaseHTTPRequestHandler):
             "breaker_trips": job_stats.get("breaker", {}).get("trips", 0),
             "resumed_jobs": job_stats.get("resumed", 0),
             "tasks_cancelled_at_shutdown": lifecycle.cancelled_at_shutdown,
-            "shm_fallbacks": shm.fallback_count(),
         }
         self._send_json(200, snapshot)
         self._finish(200)
@@ -1498,37 +1480,3 @@ def _serve_forked(
         signal.signal(signal.SIGTERM, previous_term)
         signal.signal(signal.SIGINT, previous_int)
         listener.close()
-
-
-def request_analysis(
-    base_url: str,
-    video: VideoSequence,
-    annotation_dict: dict[str, Any] | None = None,
-    seed: int = 0,
-    timeout: float = 300.0,
-    config: dict[str, Any] | None = None,
-    preset: str | None = None,
-) -> dict[str, Any]:
-    """Deprecated: use :class:`repro.client.ServiceClient` instead.
-
-    Kept as a thin shim over ``ServiceClient.analyze`` so existing
-    callers keep working; it emits a :class:`DeprecationWarning`.
-    """
-    import warnings
-
-    from .client import ServiceClient
-
-    warnings.warn(
-        "request_analysis() is deprecated; use "
-        "repro.client.ServiceClient.analyze() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    client = ServiceClient(base_url, timeout=timeout)
-    return client.analyze(
-        video,
-        annotation=annotation_dict,
-        seed=seed,
-        config=config,
-        preset=preset,
-    )

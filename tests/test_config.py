@@ -287,6 +287,27 @@ class TestFileLoading:
         path.write_text(json.dumps(payload))
         assert resolve_config(config_file=path) == get_preset("fast")
 
+    def test_report_with_retired_parallel_keys_still_loads(self, tmp_path):
+        """Reports written while ``parallel`` had two more keys resolve."""
+        fast = get_preset("fast")
+        config = config_to_dict(fast)
+        config["parallel"].update(shared_memory=True, oversubscribe=False)
+        payload = {
+            "config": config,
+            "config_hash": config_hash(config),
+            "report": {},
+        }
+        path = tmp_path / "old_report.json"
+        path.write_text(json.dumps(payload))
+        resolved = resolve_config(config_file=path)
+        assert resolved == fast
+        assert config_hash(resolved) == payload["config_hash"] == fast.hash
+        assert AnalyzerConfig.from_dict(config) == fast
+        # Only the retired names are dropped; a typo is still an error.
+        config["parallel"]["backnd"] = "threads"
+        with pytest.raises(ConfigurationError, match="backnd"):
+            AnalyzerConfig.from_dict(config)
+
     def test_precedence_preset_file_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"tracker": {"ga": {"max_generations": 7}}}))

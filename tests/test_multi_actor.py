@@ -15,7 +15,6 @@ Three contracts pinned here:
 """
 
 import json
-import urllib.request
 from dataclasses import replace
 
 import numpy as np
@@ -265,7 +264,9 @@ class TestStreamingMulti:
 
 class TestServiceTracks:
     def test_analyze_returns_tracks_on_both_surfaces(self, short_jump):
-        from repro.service import ServiceHandle, encode_video
+        """The synchronous and the job surface carry the same tracks."""
+        from repro.client import ServiceClient
+        from repro.service import ServiceHandle
 
         config = AnalyzerConfig(
             tracker=TrackerConfig(
@@ -273,28 +274,13 @@ class TestServiceTracks:
                 fitness=FitnessConfig(max_points=300),
             )
         )
-        body = json.dumps(
-            {"video_npz_b64": encode_video(short_jump.video), "seed": 1}
-        ).encode()
-
-        def post(address, path):
-            request = urllib.request.Request(
-                address + path,
-                data=body,
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with urllib.request.urlopen(request, timeout=60) as response:
-                return json.loads(response.read())
-
         with ServiceHandle(config=config) as handle:
-            v1 = post(handle.address, "/v1/analyze")
-            alias = post(handle.address, "/analyze")
+            client = ServiceClient(handle.address)
+            v1 = client.analyze(short_jump.video, seed=1)
+            job = client.submit(short_jump.video, seed=1)
+            from_job = client.wait(job["id"], timeout=120.0)
         assert isinstance(v1["tracks"], list) and len(v1["tracks"]) == 1
         assert v1["tracks"][0]["track_id"] == "t0"
         assert v1["tracks"][0]["report"]["score"] is not None
-        # Deterministic seed: the deprecated alias answers the same
-        # body (trace carries wall-clock timings, so compare shape).
-        assert set(alias["trace"]) == set(v1["trace"])
-        alias.pop("trace"), v1.pop("trace")
-        assert alias == v1
+        # Deterministic seed: the job answers the same tracks.
+        assert from_job["tracks"] == v1["tracks"]

@@ -44,10 +44,9 @@ class TestParallelConfig:
         with pytest.raises(ConfigurationError, match="workers"):
             ParallelConfig(workers=0)
 
-    def test_pool_size_never_exceeds_items(self):
-        config = ParallelConfig(
-            backend="threads", workers=8, oversubscribe=True
-        )
+    def test_pool_size_never_exceeds_items(self, monkeypatch):
+        monkeypatch.setattr(executors, "available_cpus", lambda: 16)
+        config = ParallelConfig(backend="threads", workers=8)
         assert config.pool_size(3) == 3
         assert config.pool_size(100) == 8
 
@@ -55,12 +54,6 @@ class TestParallelConfig:
         monkeypatch.setattr(executors, "available_cpus", lambda: 2)
         config = ParallelConfig(backend="threads", workers=8)
         assert config.pool_size(100) == 2
-        # oversubscribe is the explicit escape hatch (benches, tests
-        # that must exercise a real pool regardless of the host).
-        forced = ParallelConfig(
-            backend="threads", workers=8, oversubscribe=True
-        )
-        assert forced.pool_size(100) == 8
 
     def test_serial_detection(self):
         assert ParallelConfig().is_serial
@@ -226,9 +219,8 @@ class TestBenchHarness:
         sections = quick_report["sections"]
         assert set(sections["segmentation"]["backends"]) == {"serial", "threads"}
         assert sections["ga_single_frame"]["identical_best"] is True
-        assert sections["end_to_end"]["baseline"]["seconds"] > 0
+        assert set(sections["end_to_end"]) == {"optimized"}
         assert sections["end_to_end"]["optimized"]["seconds"] > 0
-        assert sections["end_to_end"]["speedup"] > 0
         ttfr = sections["time_to_first_result"]
         assert ttfr["warmup_frames"] >= 2
         assert ttfr["first_result_seconds"] > 0
@@ -240,7 +232,6 @@ class TestBenchHarness:
         assert scale_out["available_cpus"] >= 1
         assert scale_out["dispatch"]["tasks"] > 0
         for entry in scale_out["sizes"]:
-            assert entry["payload"]["payload_reduction"] >= 50
             assert entry["serial"]["frames_per_sec"] > 0
 
     def test_report_is_json_ready(self, quick_report):

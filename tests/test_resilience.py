@@ -33,7 +33,7 @@ from repro.jobs import JobManager, JobsConfig, JobState, JobStore
 from repro.jobs.stream import FrameQueue, StreamIdleTimeout
 from repro.jobs.worker import JobWorkerPool
 from repro.perf.pool import WorkerPool
-from repro.pipeline import JumpAnalyzer
+from repro.pipeline import AnalyzerConfig, JumpAnalyzer
 from repro.resilience import (
     CHECKPOINT_STAGES,
     CircuitBreaker,
@@ -542,6 +542,52 @@ class TestManagerRecovery:
         finally:
             manager.close()
             pool.shutdown(wait=True)
+
+
+    def test_recovered_job_with_retired_parallel_keys_keeps_its_config(
+        self, tmp_path, fast_setup
+    ):
+        """A job spooled before two ``parallel`` keys were retired.
+
+        The service's recovery factory must rebuild the job's own
+        ``fast`` analyzer, not fall back to its default one.
+        """
+        from repro.service import ServiceConfig, ServiceHandle
+
+        persist = str(tmp_path / "jobs.json")
+        checkpoints = str(tmp_path / "checkpoints")
+        store = JobStore(persist_path=persist)
+        job_id = store.create(
+            "e" * 10, seed=5, config_hash=fast_setup["hash"]
+        )["id"]
+        store.mark_running(job_id)
+        config = config_to_dict(fast_setup["analyzer"].config)
+        config["parallel"].update(shared_memory=True, oversubscribe=False)
+        spool_input(
+            checkpoints,
+            job_id,
+            mode="batch",
+            seed=5,
+            config=config,
+            annotation=annotation_to_dict(fast_setup["annotation"]),
+            frames=fast_setup["video"].frames,
+        )
+
+        service_config = ServiceConfig(
+            jobs=JobsConfig(persist_path=persist, checkpoint_dir=checkpoints)
+        )
+        with ServiceHandle(service_config=service_config) as handle:
+            for _ in range(1200):
+                final = handle.jobs.payload(job_id, include_result=True)
+                if final["state"] in JobState.TERMINAL:
+                    break
+                threading.Event().wait(0.05)
+        assert final["state"] == JobState.SUCCEEDED
+        result = dict(final["result"])
+        result.pop("trace", None)
+        assert result["config_hash"] == fast_setup["hash"]
+        assert result["config_hash"] != config_hash(AnalyzerConfig())
+        assert result == fast_setup["reference"]
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.client import ServiceClient
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.annotation import simulate_human_annotation
@@ -17,7 +18,6 @@ from repro.service import (
     ServiceHandle,
     decode_video,
     encode_video,
-    request_analysis,
 )
 
 
@@ -64,7 +64,7 @@ class TestCodec:
 
 class TestEndpoints:
     def test_health(self, service):
-        status, payload = _get(f"{service.address}/health")
+        status, payload = _get(f"{service.address}/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["in_flight"] == 0
@@ -72,7 +72,7 @@ class TestEndpoints:
         assert payload["last_error"] is None
 
     def test_standards(self, service):
-        status, payload = _get(f"{service.address}/standards")
+        status, payload = _get(f"{service.address}/v1/standards")
         assert status == 200
         assert len(payload["standards"]) == 7
         assert len(payload["rules"]) == 7
@@ -80,7 +80,7 @@ class TestEndpoints:
 
     def test_unknown_path(self, service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{service.address}/nope")
+            _get(f"{service.address}/v1/nope")
         assert excinfo.value.code == 404
 
     def test_analyze_roundtrip(self, service, jump):
@@ -90,10 +90,9 @@ class TestEndpoints:
             mask=jump.person_masks[0],
             rng=np.random.default_rng(0),
         )
-        result = request_analysis(
-            service.address,
+        result = ServiceClient(service.address).analyze(
             jump.video,
-            annotation_dict=annotation_to_dict(annotation),
+            annotation=annotation_to_dict(annotation),
             seed=1,
         )
         assert "report" in result and "advice" in result["report"]
@@ -103,7 +102,7 @@ class TestEndpoints:
 
     def test_analyze_bad_payload(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=json.dumps({"video_npz_b64": "###"}).encode(),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -114,7 +113,7 @@ class TestEndpoints:
 
     def test_analyze_missing_video(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=b"{}",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -128,7 +127,7 @@ class TestProfilesAPI:
     """The profile-aware v1 surface: listing, selection, rejection."""
 
     def test_get_profiles(self, service):
-        status, payload = _get(f"{service.address}/profiles")
+        status, payload = _get(f"{service.address}/v1/profiles")
         assert status == 200
         names = [p["name"] for p in payload["profiles"]]
         assert names == ["standing_long_jump", "sit_to_stand"]
@@ -147,7 +146,7 @@ class TestProfilesAPI:
 
     def test_unknown_profile_is_structured_400(self, service, jump):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=json.dumps(
                 {"video_npz_b64": encode_video(jump.video), "profile": "backflip"}
             ).encode(),
@@ -166,7 +165,7 @@ class TestProfilesAPI:
 
     def test_non_string_profile_is_bad_config(self, service, jump):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=json.dumps(
                 {"video_npz_b64": encode_video(jump.video), "profile": 7}
             ).encode(),
@@ -186,9 +185,6 @@ class TestProfilesAPI:
             mask=jump.person_masks[0],
             rng=np.random.default_rng(0),
         )
-        from repro.client import ServiceClient
-        from repro.serialization import annotation_to_dict
-
         client = ServiceClient(service.address)
         result = client.analyze(
             jump.video,

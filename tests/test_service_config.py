@@ -11,12 +11,13 @@ import urllib.request
 
 import pytest
 
+from repro.client import ServiceClient
 from repro.config import config_to_dict
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig
-from repro.service import ServiceHandle, encode_video, request_analysis
+from repro.service import ServiceHandle, encode_video
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ def service(default_config):
 
 def _post(service, body: dict) -> urllib.request.Request:
     return urllib.request.Request(
-        f"{service.address}/analyze",
+        f"{service.address}/v1/analyze",
         data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
         method="POST",
@@ -60,7 +61,7 @@ def _post(service, body: dict) -> urllib.request.Request:
 
 class TestConfigEndpoint:
     def test_resolved_defaults_and_hash(self, service, default_config):
-        with urllib.request.urlopen(f"{service.address}/config", timeout=10) as r:
+        with urllib.request.urlopen(f"{service.address}/v1/config", timeout=10) as r:
             payload = json.loads(r.read())
         assert payload["config"] == config_to_dict(default_config)
         assert payload["config_hash"] == default_config.hash
@@ -69,8 +70,7 @@ class TestConfigEndpoint:
 
 class TestPerRequestConfig:
     def test_config_block_overrides_defaults(self, service, tiny_jump):
-        result = request_analysis(
-            service.address,
+        result = ServiceClient(service.address).analyze(
             tiny_jump.video,
             config={"tracker": {"ga": {"max_generations": 2}}},
         )
@@ -81,7 +81,7 @@ class TestPerRequestConfig:
         assert result["trace"]["metadata"]["config_hash"] == result["config_hash"]
 
     def test_response_echoes_default_config_hash(self, service, tiny_jump, default_config):
-        result = request_analysis(service.address, tiny_jump.video)
+        result = ServiceClient(service.address).analyze(tiny_jump.video)
         assert result["config_hash"] == default_config.hash
 
     def test_unknown_config_key_is_structured_400(self, service, tiny_jump):

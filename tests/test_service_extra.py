@@ -7,11 +7,12 @@ import urllib.request
 
 import pytest
 
+from repro.client import ServiceClient
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig
-from repro.service import ServiceHandle, encode_video, request_analysis
+from repro.service import ServiceHandle, encode_video
 from repro.video.sequence import VideoSequence
 
 
@@ -49,7 +50,7 @@ class TestConcurrency:
         results = []
 
         def probe():
-            with urllib.request.urlopen(f"{service.address}/health", timeout=10) as r:
+            with urllib.request.urlopen(f"{service.address}/v1/health", timeout=10) as r:
                 results.append(json.loads(r.read())["status"])
 
         threads = [threading.Thread(target=probe) for _ in range(8)]
@@ -63,8 +64,8 @@ class TestConcurrency:
         outcomes = {}
 
         def run(name, seed):
-            outcomes[name] = request_analysis(
-                service.address, tiny_jump.video, seed=seed
+            outcomes[name] = ServiceClient(service.address).analyze(
+                tiny_jump.video, seed=seed
             )
 
         a = threading.Thread(target=run, args=("a", 1))
@@ -79,7 +80,7 @@ class TestStandardsDetail:
     def test_rules_consistent_with_library(self, service):
         from repro.scoring.rules import RULES
 
-        with urllib.request.urlopen(f"{service.address}/standards", timeout=10) as r:
+        with urllib.request.urlopen(f"{service.address}/v1/standards", timeout=10) as r:
             payload = json.loads(r.read())
         served = {rule["rule"]: rule for rule in payload["rules"]}
         for rule in RULES:
@@ -87,7 +88,7 @@ class TestStandardsDetail:
             assert served[rule.rule_id]["standard"] == rule.standard.name
 
     def test_advice_text_served(self, service):
-        with urllib.request.urlopen(f"{service.address}/standards", timeout=10) as r:
+        with urllib.request.urlopen(f"{service.address}/v1/standards", timeout=10) as r:
             payload = json.loads(r.read())
         assert all(len(item["advice"]) > 20 for item in payload["standards"])
 
@@ -101,7 +102,7 @@ class TestPayloadEdges:
             {"video_npz_b64": encode_video(one), "seed": 0}
         ).encode()
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=payload,
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -112,7 +113,7 @@ class TestPayloadEdges:
 
     def test_empty_body(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze", data=b"", method="POST"
+            f"{service.address}/v1/analyze", data=b"", method="POST"
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
@@ -134,7 +135,7 @@ class TestBatchEndpoint:
     def test_batch_analyzes_every_video(self, service, tiny_jump):
         encoded = encode_video(tiny_jump.video)
         status, payload = _post_json(
-            f"{service.address}/analyze/batch",
+            f"{service.address}/v1/analyze/batch",
             {"videos": [{"video_npz_b64": encoded}, {"video_npz_b64": encoded}]},
         )
         assert status == 200
@@ -153,7 +154,7 @@ class TestBatchEndpoint:
             )
         }
         status, payload = _post_json(
-            f"{service.address}/analyze/batch", {"videos": [bad, good]}
+            f"{service.address}/v1/analyze/batch", {"videos": [bad, good]}
         )
         assert status == 200
         assert payload["failed"] == 1
@@ -164,7 +165,7 @@ class TestBatchEndpoint:
     def test_batch_rejects_empty_and_oversized(self, service):
         for body in ({"videos": []}, {"videos": "nope"}):
             request = urllib.request.Request(
-                f"{service.address}/analyze/batch",
+                f"{service.address}/v1/analyze/batch",
                 data=json.dumps(body).encode(),
                 headers={"Content-Type": "application/json"},
                 method="POST",
@@ -175,7 +176,7 @@ class TestBatchEndpoint:
 
     def test_batch_item_errors_name_the_index(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze/batch",
+            f"{service.address}/v1/analyze/batch",
             data=json.dumps({"videos": [{"seed": 1}]}).encode(),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -191,14 +192,13 @@ class TestAnalyzerCacheMetrics:
     def test_per_request_config_populates_cache(self, service, tiny_jump):
         overrides = {"tracker": {"ga": {"max_generations": 5}}}
         for _ in range(2):
-            request_analysis(
-                f"{service.address}",
+            ServiceClient(service.address).analyze(
                 tiny_jump.video,
                 seed=0,
                 config=overrides,
             )
         with urllib.request.urlopen(
-            f"{service.address}/metrics", timeout=10
+            f"{service.address}/v1/metrics", timeout=10
         ) as response:
             snapshot = json.loads(response.read())
         cache = snapshot["analyzer_cache"]

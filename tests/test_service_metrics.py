@@ -6,11 +6,12 @@ import urllib.request
 
 import pytest
 
+from repro.client import ServiceClient
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig
-from repro.service import ServiceHandle, request_analysis
+from repro.service import ServiceHandle
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +50,7 @@ def _get_json(url: str) -> dict:
 
 def _post(service, body: bytes) -> urllib.error.HTTPError:
     request = urllib.request.Request(
-        f"{service.address}/analyze",
+        f"{service.address}/v1/analyze",
         data=body,
         headers={"Content-Type": "application/json"},
         method="POST",
@@ -112,7 +113,7 @@ class TestBadRequests:
 
     def test_404_error_is_structured_too(self, service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{service.address}/nowhere", timeout=10)
+            urllib.request.urlopen(f"{service.address}/v1/nowhere", timeout=10)
         assert excinfo.value.code == 404
         assert _error_payload(excinfo.value)["type"] == "not_found"
 
@@ -120,7 +121,7 @@ class TestBadRequests:
 class TestMetricsEndpoint:
     def test_metrics_shape_before_any_analysis(self):
         with ServiceHandle() as handle:
-            snapshot = _get_json(f"{handle.address}/metrics")
+            snapshot = _get_json(f"{handle.address}/v1/metrics")
             assert set(snapshot) == {
                 "requests",
                 "stages",
@@ -147,10 +148,10 @@ class TestMetricsEndpoint:
     def test_analysis_populates_cumulative_stage_timings(
         self, service, tiny_jump
     ):
-        result = request_analysis(service.address, tiny_jump.video, seed=3)
+        result = ServiceClient(service.address).analyze(tiny_jump.video, seed=3)
         assert result["trace"]["total_seconds"] > 0.0
 
-        snapshot = _get_json(f"{service.address}/metrics")
+        snapshot = _get_json(f"{service.address}/v1/metrics")
         stages = snapshot["stages"]
         for name in ("segmentation", "tracking", "scoring"):
             assert stages[name]["calls"] >= 1
@@ -159,34 +160,33 @@ class TestMetricsEndpoint:
         assert snapshot["counters"]["ga.evaluations"] > 0
 
     def test_request_counters_accumulate(self, service):
-        before = _get_json(f"{service.address}/metrics")["requests"]
-        _get_json(f"{service.address}/health")
+        before = _get_json(f"{service.address}/v1/metrics")["requests"]
+        _get_json(f"{service.address}/v1/health")
         _post(service, b"{not json")  # counted as a 400
-        after = _get_json(f"{service.address}/metrics")["requests"]
+        after = _get_json(f"{service.address}/v1/metrics")["requests"]
         assert after["total"] >= before.get("total", 0) + 2
-        assert after["endpoint:/health"] >= 1
+        assert after["endpoint:/v1/health"] >= 1
         assert after["status:400"] >= 1
 
     def test_errors_do_not_pollute_stage_metrics(self, tiny_jump):
         # a failed request must count as a request but record no stages
         with ServiceHandle() as handle:
             _post(handle, b"{not json")
-            snapshot = _get_json(f"{handle.address}/metrics")
+            snapshot = _get_json(f"{handle.address}/v1/metrics")
             assert snapshot["stages"] == {}
             assert snapshot["requests"]["status:400"] == 1
 
 
 class TestScaleOutObservability:
-    """`--procs` observability: pid + shm fallback counter per replica."""
+    """`--procs` observability: each replica reports its pid."""
 
-    def test_metrics_expose_pid_and_shm_fallbacks(self):
+    def test_metrics_expose_pid(self):
         import os
 
         with ServiceHandle() as handle:
-            snapshot = _get_json(f"{handle.address}/metrics")
+            snapshot = _get_json(f"{handle.address}/v1/metrics")
             assert snapshot["service"]["pid"] == os.getpid()
-            assert snapshot["service"]["shm_fallbacks"] == 0
-            health = _get_json(f"{handle.address}/health")
+            health = _get_json(f"{handle.address}/v1/health")
             assert health["pid"] == os.getpid()
 
     def test_handle_adopts_prebound_listener(self):
@@ -203,7 +203,7 @@ class TestScaleOutObservability:
         handle = ServiceHandle(listener=listener).start()
         try:
             assert handle.address.endswith(f":{port}")
-            health = _get_json(f"http://127.0.0.1:{port}/health")
+            health = _get_json(f"http://127.0.0.1:{port}/v1/health")
             assert health["status"] == "ok"
         finally:
             handle.stop()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.errors as errors_module
+from repro.client import ServiceClient
 from repro.errors import ReproError
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
@@ -20,7 +21,6 @@ from repro.service import (
     ServiceConfig,
     ServiceHandle,
     encode_video,
-    request_analysis,
 )
 
 
@@ -83,7 +83,7 @@ class TestBodyLimit:
         ).start()
         try:
             status, payload, headers = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 413
             assert payload["error"]["type"] == "body_too_large"
@@ -97,7 +97,7 @@ class TestBodyLimit:
             service_config=ServiceConfig(max_body_bytes=512)
         ).start()
         try:
-            status, payload, _ = _post_raw(f"{handle.address}/analyze", b"{}")
+            status, payload, _ = _post_raw(f"{handle.address}/v1/analyze", b"{}")
             assert status == 400  # missing video, but not 413
         finally:
             handle.stop()
@@ -124,7 +124,7 @@ class TestConcurrencyGate:
             ).encode("utf-8")
             for _ in range(3):  # would exhaust a leaked single-slot gate
                 status, payload, _ = _post_raw(
-                    f"{handle.address}/analyze", body
+                    f"{handle.address}/v1/analyze", body
                 )
                 assert status == 400
                 assert payload["error"]["type"] == "bad_config"
@@ -146,7 +146,7 @@ class TestConcurrencyGate:
             assert handle._server.gate.acquire(blocking=False)
             try:
                 status, payload, headers = _post_raw(
-                    f"{handle.address}/analyze",
+                    f"{handle.address}/v1/analyze",
                     _analyze_body(short_jump.video),
                 )
                 assert status == 503
@@ -166,12 +166,12 @@ class TestDeadline:
         handle._server.analyzer = _StubAnalyzer(delay=0.6)
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 504
             assert payload["error"]["type"] == "deadline_exceeded"
             # The timeout lands in /health's last_error.
-            _, health = _get(f"{handle.address}/health")
+            _, health = _get(f"{handle.address}/v1/health")
             assert health["last_error"]["type"] == "deadline_exceeded"
         finally:
             handle.stop()
@@ -196,7 +196,7 @@ class TestErrorMapping:
         handle._server.analyzer = _StubAnalyzer(error=exc_type("kaput"))
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 422
             assert payload["error"]["type"] == "analysis_failed"
@@ -209,11 +209,11 @@ class TestErrorMapping:
         handle._server.analyzer = _StubAnalyzer(error=ValueError("surprise"))
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 500
             assert payload["error"]["type"] == "internal_error"
-            _, health = _get(f"{handle.address}/health")
+            _, health = _get(f"{handle.address}/v1/health")
             assert health["last_error"]["type"] == "internal_error"
         finally:
             handle.stop()
@@ -222,7 +222,7 @@ class TestErrorMapping:
         handle = ServiceHandle().start()
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", b"not json"
+                f"{handle.address}/v1/analyze", b"not json"
             )
             assert status == 400
             assert payload["error"]["type"] == "malformed_json"
@@ -244,10 +244,9 @@ class TestDegradedResponses:
         )
         handle = ServiceHandle(config=_fast_config()).start()
         try:
-            result = request_analysis(
-                handle.address,
+            result = ServiceClient(handle.address).analyze(
                 faulted,
-                annotation_dict=annotation_to_dict(annotation),
+                annotation=annotation_to_dict(annotation),
             )
             assert result["degraded"] is True
             target = FaultSpec(kind="blank_silhouette").resolve_frame(
@@ -267,15 +266,14 @@ class TestDegradedResponses:
         )
         handle = ServiceHandle(config=_fast_config()).start()
         try:
-            result = request_analysis(
-                handle.address,
+            result = ServiceClient(handle.address).analyze(
                 short_jump.video,
-                annotation_dict=annotation_to_dict(annotation),
+                annotation=annotation_to_dict(annotation),
             )
             assert result["degraded"] is False
             assert "degradation" not in result
             assert result["diagnostics"]["unhealthy_frames"] == []
-            _, health = _get(f"{handle.address}/health")
+            _, health = _get(f"{handle.address}/v1/health")
             assert health["in_flight"] == 0
         finally:
             handle.stop()

@@ -1,4 +1,4 @@
-"""The ``/v1`` surface vs its deprecated unversioned aliases."""
+"""The ``/v1`` surface: the only paths the service answers."""
 
 from __future__ import annotations
 
@@ -17,36 +17,32 @@ def service():
         yield handle
 
 
-def _get(url):
+def _call(url, method="GET", data=None):
+    request = urllib.request.Request(url, data=data, method=method)
     try:
-        with urllib.request.urlopen(url, timeout=10) as response:
+        with urllib.request.urlopen(request, timeout=10) as response:
             return response.status, json.loads(response.read()), response.headers
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), exc.headers
 
 
 class TestAliases:
-    @pytest.mark.parametrize(
-        "path", ["/health", "/standards", "/config", "/metrics", "/version"]
-    )
-    def test_alias_and_v1_bodies_are_identical(self, service, path):
-        alias_status, alias_body, alias_headers = _get(service.address + path)
-        v1_status, v1_body, v1_headers = _get(service.address + "/v1" + path)
-        assert alias_status == v1_status == 200
-        if path == "/metrics":
-            # request counters move between the two calls; compare shape
-            assert set(alias_body) == set(v1_body)
-        else:
-            # uptime_seconds is wall-clock and moves between the calls
-            alias_body.pop("uptime_seconds", None)
-            v1_body.pop("uptime_seconds", None)
-            assert alias_body == v1_body
-        assert alias_headers.get("Deprecation") == "true"
-        assert v1_headers.get("Deprecation") is None
+    """The unversioned aliases are retired: every one is a plain 404."""
+
+    @pytest.mark.parametrize("method", ["GET", "POST", "DELETE"])
+    def test_retired_alias_paths_get_404_envelope(self, service, method):
+        data = b"{}" if method == "POST" else None
+        for path in ("/health", "/metrics", "/analyze", "/jobs", "/jobs/j1"):
+            status, body, headers = _call(service.address + path, method, data)
+            assert status == 404, (method, path)
+            assert body["error"]["type"] == "not_found"
+            assert set(body["error"]) == {"type", "message", "detail"}
+            assert path in body["error"]["message"]
+            assert headers.get("Deprecation") is None
 
     def test_unknown_paths_are_404_on_both_surfaces(self, service):
         for prefix in ("", "/v1"):
-            status, body, _ = _get(f"{service.address}{prefix}/nowhere")
+            status, body, _ = _call(f"{service.address}{prefix}/nowhere")
             assert status == 404
             assert body["error"]["type"] == "not_found"
             assert set(body["error"]) == {"type", "message", "detail"}
@@ -56,7 +52,7 @@ class TestVersionEndpoint:
     def test_version_payload(self, service):
         import repro
 
-        status, body, _ = _get(service.address + "/v1/version")
+        status, body, _ = _call(service.address + "/v1/version")
         assert status == 200
         assert body["api_version"] == "v1"
         assert body["package_version"] == repro.__version__
@@ -75,5 +71,5 @@ class TestRouteTable:
             method, path = entry.split(" ", 1)
             if method != "GET" or "{" in path:
                 continue
-            status, _, _ = _get(service.address + path)
+            status, _, _ = _call(service.address + path)
             assert status != 404, entry
