@@ -32,11 +32,14 @@ _MISSING = object()
 
 #: Keys older releases wrote that no longer exist, by the name of the
 #: config dataclass that owned them.  Loading drops them silently, so a
-#: report or spooled job written before their removal still resolves to
-#: the same config and hash.  Both were execution-only knobs that never
-#: changed a result.
+#: report or spooled job written before their removal still loads.  None
+#: of them ever changed a result.  The ``parallel`` block is outside the
+#: hash, so its retired keys keep the stored ``config_hash``;
+#: ``GAConfig.incremental`` was hashed, so a config that carried it
+#: resolves to the current hash instead.
 RETIRED_KEYS: dict[str, frozenset[str]] = {
     "ParallelConfig": frozenset({"shared_memory", "oversubscribe"}),
+    "GAConfig": frozenset({"incremental"}),
 }
 
 

@@ -42,19 +42,6 @@ class GAConfig:
     patience: int | None = 15  # stop after this many stale generations
     target_fitness: float | None = None
     offspring_attempts: int = 10  # retries to produce a valid child
-    # Carry known fitness values across generations (elites survive
-    # unchanged; exhausted-retry fallbacks are parent copies) and score
-    # only fresh offspring.  Requires the fitness of a chromosome to be
-    # independent of the rest of the batch — true of every fitness in
-    # this repo (Eq. 3 is a per-chromosome sum over silhouette points).
-    # The search trajectory is identical either way; only the number of
-    # `fitness_fn` rows changes.  Off by default: at this repo's
-    # population sizes the vectorised fitness batch is so cheap that
-    # the split-batch bookkeeping costs more than the skipped rows —
-    # BENCH_4 measured 0.817x (a slowdown) with `identical_best` true.
-    # Flip on only when a single fitness row is genuinely expensive
-    # (e.g. max_points far above the presets').
-    incremental: bool = False
     operators: OperatorConfig = field(default_factory=OperatorConfig)
     # "ranking" (default): linear rank-proportional parent choice —
     # "the fittest ... have a higher probability to be picked".
@@ -101,8 +88,48 @@ class GAConfig:
         return max(1, int(round(self.elite_fraction * self.population_size)))
 
 
+def _keys(population: np.ndarray) -> list[bytes]:
+    return [row.tobytes() for row in population]
+
+
+def _score(
+    population: np.ndarray, fitness_fn: FitnessFn, memo: dict[bytes, float]
+) -> tuple[np.ndarray, int]:
+    """Fitness of every row, passing each chromosome to ``fitness_fn`` once.
+
+    ``memo`` maps the bytes of every chromosome scored so far in the run
+    to its score.  Unseen rows go to ``fitness_fn`` in one batch, each
+    distinct chromosome once; all other rows (elites, fallback parent
+    copies, unchanged children, duplicates) are filled from the memo.
+    This is exact because every fitness in this repo scores a row from
+    its bytes alone (Eq. 3 is a per-chromosome sum over silhouette
+    points) — except that numpy reduces a one-row batch by pairwise
+    summation instead of the column-by-column order of any wider batch,
+    an ulp apart.  A lone unseen row is therefore sent twice, as a
+    two-row batch.
+
+    Returns the scores and the number of rows passed to ``fitness_fn``.
+    """
+    keys = _keys(population)
+    fresh: dict[bytes, int] = {}
+    for index, key in enumerate(keys):
+        if key not in memo:
+            fresh.setdefault(key, index)
+    rows = list(fresh.values())
+    if len(rows) == 1:
+        rows *= 2
+    if rows:
+        scores = np.asarray(fitness_fn(population[rows]), dtype=np.float64)
+        memo.update(zip((keys[i] for i in rows), scores.reshape(-1).tolist()))
+    return np.array([memo[key] for key in keys], dtype=np.float64), len(rows)
+
+
 class GeneticAlgorithm:
     """Run the paper's elitist GA over a chromosome population.
+
+    Each distinct chromosome is scored once per run (see :func:`_score`);
+    ``ga.evaluations`` and ``SearchResult.total_evaluations`` count the
+    rows actually passed to ``fitness_fn``.
 
     When an :class:`~repro.runtime.Instrumentation` is given, every run
     accumulates the ``ga.runs``, ``ga.generations``, ``ga.evaluations``
@@ -155,7 +182,10 @@ class GeneticAlgorithm:
             )
             population = np.vstack([population, population[extra_idx]])
 
+        # Generation 0 is scored as given, every row; its scores seed the
+        # per-run memo from which later generations fill known rows.
         fitness = np.asarray(fitness_fn(population), dtype=np.float64)
+        memo = dict(zip(_keys(population), fitness.tolist()))
         evaluations = population.shape[0]
         rejected = 0
 
@@ -184,11 +214,6 @@ class GeneticAlgorithm:
             fitness = fitness[order]
 
             next_population = [population[i].copy() for i in range(cfg.elite_count)]
-            # Fitness already known for row i, or None for fresh offspring.
-            carried: list[float | None] = [
-                float(fitness[i]) for i in range(cfg.elite_count)
-            ]
-
             while len(next_population) < cfg.population_size:
                 pa, pb = self._pick_parents(rng, ranks_cdf)
                 child = self._make_child(
@@ -197,29 +222,12 @@ class GeneticAlgorithm:
                 if child is None:
                     rejected += 1
                     # Fall back to the better parent, kept as-is.
-                    keep = min(pa, pb)
-                    child = population[keep].copy()
-                    carried.append(float(fitness[keep]))
-                else:
-                    carried.append(None)
+                    child = population[min(pa, pb)].copy()
                 next_population.append(child)
 
             population = np.vstack(next_population)
-            if cfg.incremental:
-                fresh = [i for i, known in enumerate(carried) if known is None]
-                scored = np.empty(cfg.population_size, dtype=np.float64)
-                for i, known in enumerate(carried):
-                    if known is not None:
-                        scored[i] = known
-                if fresh:
-                    scored[fresh] = np.asarray(
-                        fitness_fn(population[fresh]), dtype=np.float64
-                    ).reshape(-1)
-                fitness = scored
-                evaluations += len(fresh)
-            else:
-                fitness = np.asarray(fitness_fn(population), dtype=np.float64)
-                evaluations += population.shape[0]
+            fitness, scored = _score(population, fitness_fn, memo)
+            evaluations += scored
 
             gen_best = float(fitness.min())
             if gen_best < result.best_fitness - 1e-12:

@@ -11,9 +11,10 @@ name via ``tracker.strategy`` with no imports changed at call sites:
 * ``"random_search"`` — pure random sampling inside the windows;
 * ``"nelder_mead"`` — scipy simplex refinement from the window centre.
 
-The classical baselines are budget-matched to the GA: they receive the
-same number of fitness evaluations the configured GA would spend at
-full term (``population_size × max_generations``), so changing
+The classical baselines are budget-matched to the GA: they receive one
+fitness evaluation per population slot the configured GA fills at full
+term (``population_size × max_generations``; the GA itself scores only
+the distinct chromosomes among them), so changing
 ``tracker.ga.max_generations`` scales every strategy consistently.
 """
 
@@ -57,7 +58,7 @@ class SearchRequest:
 
     @property
     def budget(self) -> int:
-        """Fitness evaluations the configured GA would spend at full term."""
+        """Population slots the configured GA fills at full term."""
         ga = self.config.ga
         return ga.population_size * ga.max_generations
 

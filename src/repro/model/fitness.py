@@ -44,10 +44,9 @@ class FitnessConfig:
 
     ``chunk_size`` is the number of chromosomes scored per distance
     matrix; 0 picks a cache-friendly size from the silhouette point
-    count.  Chunk width only perturbs the summation order of the final
-    per-point mean: scores agree across chunkings to a few ulps, and
-    the end-to-end analysis output is bit-identical
-    (``tests/test_perf_parity.py``).
+    count.  Every chunk width of 2 or more gives bit-identical scores;
+    width 1 reduces each row's per-point mean by pairwise summation and
+    moves scores by an ulp (``tests/test_perf_parity.py``).
     """
 
     max_points: int = 1500
@@ -74,6 +73,22 @@ def _adaptive_chunk(num_points: int) -> int:
     """Chromosomes per block keeping the distance matrix ~4 MB."""
     target_elements = 512 * 1024
     return int(np.clip(target_elements // max(num_points * NUM_STICKS, 1), 8, 256))
+
+
+def _chunks(population: int, chunk: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` blocks of at most ``chunk`` rows, no lone tail.
+
+    numpy averages a one-column ``(N, 1)`` plane by pairwise summation
+    but a wider one column by column in sequence, so a row scored in a
+    one-row block differs by an ulp from the same row in any wider
+    block.  A one-row tail is folded into the block before it, making a
+    row's score independent of its position in the batch.
+    """
+    chunk = max(1, min(population, chunk))
+    bounds = list(range(0, population, chunk)) + [population]
+    if chunk > 1 and population % chunk == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 class SilhouetteFitness:
@@ -144,26 +159,25 @@ class SilhouetteFitness:
         num_points = self._points.shape[0]
         # Chunk the population so the (N, C*8) distance matrix stays
         # small enough to be cache-friendly.  Each chromosome's column
-        # is reduced independently; only the mean's summation order can
-        # shift with the chunk width (a few ulps at most).
+        # is reduced independently, in the same order at any width >= 2.
         chunk = self._config.chunk_size or _adaptive_chunk(num_points)
-        chunk = max(1, min(population, chunk))
+        blocks = _chunks(population, chunk)
         if self._config.precision == "float32":
-            scores = self._evaluate_float32(segments, chunk)
+            scores = self._evaluate_float32(segments, blocks)
             return scores[0] if squeeze else scores
         scores = np.empty(population, dtype=np.float64)
-        for start in range(0, population, chunk):
-            block = segments[start : start + chunk]  # (C, 8, 2, 2)
+        for start, stop in blocks:
+            block = segments[start:stop]  # (C, 8, 2, 2)
             flat = block.reshape(-1, 2, 2)
             dists = segment_distances(self._points, flat)
             dists = dists.reshape(num_points, block.shape[0], NUM_STICKS)
             normalised = dists / self._thickness[None, None, :]
-            scores[start : start + block.shape[0]] = (
-                normalised.min(axis=2).mean(axis=0)
-            )
+            scores[start:stop] = normalised.min(axis=2).mean(axis=0)
         return scores[0] if squeeze else scores
 
-    def _evaluate_float32(self, segments: np.ndarray, chunk: int) -> np.ndarray:
+    def _evaluate_float32(
+        self, segments: np.ndarray, blocks: list[tuple[int, int]]
+    ) -> np.ndarray:
         """Reduced-precision Eq. 3: squared distances, one sqrt per point.
 
         ``min_l d/t_l == sqrt(min_l d²/t_l²)`` exactly in real
@@ -176,16 +190,14 @@ class SilhouetteFitness:
         num_points = self._points32.shape[0]
         segments32 = segments.astype(np.float32)
         scores = np.empty(population, dtype=np.float64)
-        for start in range(0, population, chunk):
-            block = segments32[start : start + chunk]
+        for start, stop in blocks:
+            block = segments32[start:stop]
             flat = block.reshape(-1, 2, 2)
             sq = segment_distances_squared(self._points32, flat)
             sq = sq.reshape(num_points, block.shape[0], NUM_STICKS)
             normalised = sq * self._inv_thickness_sq32[None, None, :]
             best = np.sqrt(normalised.min(axis=2))
-            scores[start : start + block.shape[0]] = best.mean(
-                axis=0, dtype=np.float64
-            )
+            scores[start:stop] = best.mean(axis=0, dtype=np.float64)
         return scores
 
     def evaluate_pose(self, pose: StickPose) -> float:

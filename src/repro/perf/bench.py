@@ -6,9 +6,6 @@ reports a machine-readable JSON document (committed as
 
 * ``segmentation`` — frames/sec of the five-step pipeline per
   execution backend (serial / threads / processes);
-* ``ga_single_frame`` — the Shoji-style single-frame GA with and
-  without incremental elite-fitness reuse (evaluations/sec and the
-  proof that both reach the identical best fitness);
 * ``tracking`` — per-frame temporal tracking throughput, read from the
   end-to-end run's stage trace;
 * ``end_to_end`` — a full :meth:`JumpAnalyzer.analyze` under the
@@ -87,52 +84,6 @@ def _bench_segmentation(
             "frames_per_sec": round(len(segmented) / seconds, 2),
         }
     return {"frames": len(video), "backends": results}
-
-
-def _bench_ga_single_frame(
-    mask: np.ndarray, dims: Any, quick: bool, seed: int
-) -> dict[str, Any]:
-    from ..ga.engine import GAConfig
-    from ..ga.operators import OperatorConfig
-    from ..ga.single_frame import SingleFrameConfig, estimate_single_frame
-
-    generations = 40 if quick else 120
-    base_ga = GAConfig(
-        population_size=60,
-        max_generations=generations,
-        patience=None,
-        operators=OperatorConfig(
-            crossover_rate=0.2,
-            mutation_rate=0.15,
-            center_sigma=3.0,
-            angle_sigma=25.0,
-        ),
-    )
-    section: dict[str, Any] = {"generations": generations}
-    for label, incremental in (("incremental", True), ("full", False)):
-        config = SingleFrameConfig(
-            ga=dataclasses.replace(base_ga, incremental=incremental)
-        )
-        seconds, estimate = _timed(
-            lambda: estimate_single_frame(
-                mask, dims, config, rng=np.random.default_rng(seed)
-            )
-        )
-        evaluations = estimate.search.total_evaluations
-        section[label] = {
-            "seconds": round(seconds, 4),
-            "evaluations": evaluations,
-            "evaluations_per_sec": round(evaluations / seconds, 1),
-            "best_fitness": float(estimate.fitness),
-        }
-    section["speedup"] = round(
-        section["full"]["seconds"] / section["incremental"]["seconds"], 3
-    )
-    # Incremental reuse is seed-exact: same trajectory, fewer evaluations.
-    section["identical_best"] = (
-        section["incremental"]["best_fitness"] == section["full"]["best_fitness"]
-    )
-    return section
 
 
 def _analyze_once(
@@ -471,9 +422,6 @@ def run_bench(
     sections: dict[str, Any] = {}
     sections["segmentation"] = _bench_segmentation(
         config, jump.video, workers, backends
-    )
-    sections["ga_single_frame"] = _bench_ga_single_frame(
-        jump.person_masks[0], jump.dims, quick, seed
     )
     sections["fitness_batch"] = _bench_fitness_batch(
         jump.person_masks[0], jump.dims, quick, seed

@@ -308,6 +308,21 @@ class TestFileLoading:
         with pytest.raises(ConfigurationError, match="backnd"):
             AnalyzerConfig.from_dict(config)
 
+    def test_config_with_retired_ga_incremental_still_loads(self, tmp_path):
+        """Configs written while ``tracker.ga`` had ``incremental`` resolve."""
+        fast = get_preset("fast")
+        config = config_to_dict(fast)
+        config["tracker"]["ga"]["incremental"] = True
+        path = tmp_path / "old_report.json"
+        path.write_text(json.dumps({"config": config, "report": {}}))
+        assert resolve_config(config_file=path) == fast
+        assert AnalyzerConfig.from_dict(config) == fast
+        # The field was hashed, so the stored hash is not reproduced.
+        assert config_hash(config) != fast.hash
+        config["tracker"]["ga"]["incremntal"] = True
+        with pytest.raises(ConfigurationError, match="incremntal"):
+            AnalyzerConfig.from_dict(config)
+
     def test_precedence_preset_file_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"tracker": {"ga": {"max_generations": 7}}}))

@@ -10,6 +10,9 @@ they replaced live here as oracles:
   :func:`_contained` on every chromosome, in-frame or not;
 * the inline CDF selection draws the same parents from the same RNG
   stream as ``rng.choice``;
+* the GA's per-run fitness memo reproduces the full-rescoring oracle
+  :func:`_score_full_rescoring` bitwise, and a row's fitness does not
+  depend on its position or company in the batch;
 * execution backends (serial / threads / processes) produce
   byte-identical analysis serialisations;
 * the whole optimised stack reproduces the oracle stack end to end.
@@ -20,6 +23,7 @@ file also pins its tolerance.
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ga.engine import GeneticAlgorithm
+from repro.ga import engine
+from repro.ga.engine import GAConfig, GeneticAlgorithm
+from repro.ga.operators import OperatorConfig
 from repro.imaging.image import ensure_mask
 from repro.imaging.morphology import box_element, dilate
 from repro.model import fitness as fitness_module
@@ -103,8 +109,14 @@ def _pick_parents_with_choice(self, rng, cdf):
     return pa, pb
 
 
+def _score_full_rescoring(population, fitness_fn, memo):
+    """Score every row of every generation, the GA before its memo."""
+    scores = np.asarray(fitness_fn(population), dtype=np.float64)
+    return scores, population.shape[0]
+
+
 def _install_oracles(monkeypatch):
-    """Route fitness, containment and selection through the oracles."""
+    """Route fitness, containment, selection and GA scoring through the oracles."""
     monkeypatch.setattr(
         fitness_module, "segment_distances", _segment_distances_reference
     )
@@ -132,6 +144,7 @@ def _install_oracles(monkeypatch):
     monkeypatch.setattr(
         GeneticAlgorithm, "_pick_parents", _pick_parents_with_choice
     )
+    monkeypatch.setattr(engine, "_score", _score_full_rescoring)
 
 
 def _setup():
@@ -272,8 +285,8 @@ def _stripped(analysis, drop_config=False):
     payload["config"].pop("parallel", None)  # execution-only knob
     if drop_config:
         # Legacy-vs-optimised runs legitimately carry different configs
-        # (incremental off, fixed chunk); the parity claim is about the
-        # numeric output, not the config echo.
+        # (fixed chunk); the parity claim is about the numeric output,
+        # not the config echo.
         payload.pop("config", None)
         payload.pop("config_hash", None)
     return json.dumps(payload, sort_keys=True)
@@ -325,7 +338,7 @@ class TestEndToEndParity:
         assert outputs["serial"] == outputs["processes"]
 
     def test_optimized_stack_matches_legacy_stack(self, small_jump, monkeypatch):
-        """Defaults vs the oracle kernels + full GA re-evaluation."""
+        """Defaults vs the oracle kernels + full GA re-scoring."""
         from repro.config import get_preset
 
         jump, annotation = small_jump
@@ -338,7 +351,6 @@ class TestEndToEndParity:
             parallel=ParallelConfig(),
             tracker=dataclasses.replace(
                 tracker,
-                ga=dataclasses.replace(tracker.ga, incremental=False),
                 fitness=dataclasses.replace(tracker.fitness, chunk_size=64),
             ),
         )
@@ -347,6 +359,91 @@ class TestEndToEndParity:
             _analyze(legacy_config, jump, annotation), drop_config=True
         )
         assert optimized == legacy
+
+
+class TestFitnessMemoParity:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.integers(4, 12),
+        distinct=st.integers(1, 12),
+        chunk=st.sampled_from([0, 1, 2, 3, 5]),
+        rates=st.sampled_from([(0.2, 0.01), (0.5, 0.3), (0.0, 0.0)]),
+        contained=st.booleans(),
+    )
+    def test_memo_matches_full_rescoring(
+        self, seed, size, distinct, chunk, rates, contained
+    ):
+        """Same best genes and history as scoring every row, bit for bit.
+
+        Initial populations repeat rows, and low operator rates make
+        most offspring copies of a parent, so memo hits of every kind
+        (elites, fallback copies, unchanged children, duplicates) occur.
+        """
+        pose, mask = _setup()
+        fitness = SilhouetteFitness(mask, BODY, FitnessConfig(chunk_size=chunk))
+        checker = ContainmentChecker(mask, BODY) if contained else None
+        rng = np.random.default_rng(seed)
+        base = _random_genes(rng, min(distinct, size), pose)
+        initial = base[rng.integers(0, len(base), size)]
+        config = GAConfig(
+            population_size=size,
+            max_generations=6,
+            patience=None,
+            offspring_attempts=2,
+            operators=OperatorConfig(
+                crossover_rate=rates[0], mutation_rate=rates[1]
+            ),
+        )
+
+        def run():
+            return GeneticAlgorithm(config).run(
+                initial,
+                fitness.evaluate,
+                validity_fn=checker.check if checker else None,
+                rng=np.random.default_rng(seed),
+            )
+
+        memo = run()
+        with mock.patch.object(engine, "_score", _score_full_rescoring):
+            full = run()
+        assert memo.best_genes.tobytes() == full.best_genes.tobytes()
+        assert [s.best_fitness for s in memo.history] == [
+            s.best_fitness for s in full.history
+        ]
+        assert [s.mean_fitness for s in memo.history] == [
+            s.mean_fitness for s in full.history
+        ]
+        assert memo.total_evaluations <= full.total_evaluations
+
+    def test_lone_fresh_row_scores_as_in_full_batch(self):
+        pose, mask = _setup()
+        fitness = SilhouetteFitness(mask, BODY)
+        rng = np.random.default_rng(9)
+        known = _random_genes(rng, 8, pose)
+        # Rows whose one-row score differs from their score in a wider
+        # batch: the case the two-row batch exists for.
+        lone = [
+            row
+            for row in _random_genes(rng, 32, pose)
+            if fitness.evaluate(row[None, :])[0]
+            != fitness.evaluate(np.stack([row, known[0]]))[0]
+        ]
+        assert lone
+        memo = {}
+        engine._score(known, fitness.evaluate, memo)
+        population = np.vstack([known, lone[0]])
+        scores, rows = engine._score(population, fitness.evaluate, memo)
+        assert rows == 2
+        np.testing.assert_array_equal(scores, fitness.evaluate(population))
+
+    def test_score_does_not_depend_on_batch_position(self):
+        """A one-row chunk tail scores as it would in any wider batch."""
+        pose, mask = _setup()
+        fitness = SilhouetteFitness(mask, BODY, FitnessConfig(chunk_size=4))
+        genes = _random_genes(np.random.default_rng(10), 9, pose)
+        paired = [fitness.evaluate(np.stack([row, genes[0]]))[0] for row in genes]
+        np.testing.assert_array_equal(fitness.evaluate(genes), paired)
 
 
 class TestFitnessPrecision:
@@ -362,6 +459,18 @@ class TestFitnessPrecision:
         }
         for chunk, values in scores.items():
             np.testing.assert_allclose(values, scores[0], rtol=1e-13, atol=0.0)
+
+    def test_chunk_widths_from_two_up_are_bitwise_equal(self):
+        pose, mask = _setup()
+        genes = _random_genes(np.random.default_rng(7), 47, pose)
+        scores = [
+            SilhouetteFitness(mask, BODY, FitnessConfig(chunk_size=chunk)).evaluate(
+                genes
+            )
+            for chunk in (0, 2, 3, 7, 64)
+        ]
+        for values in scores[1:]:
+            np.testing.assert_array_equal(values, scores[0])
 
     def test_float32_fast_path_stays_within_tolerance(self):
         pose, mask = _setup()
