@@ -166,9 +166,7 @@ from .jobs import (
     JobsConfig,
     JobState,
     JobStore,
-    JobStoreBackend,
     SharedDirectoryBackend,
-    SingleProcessBackend,
     StreamIdleTimeout,
 )
 from .service import (
@@ -311,11 +309,9 @@ __all__ = [
     "JobManager",
     "JobState",
     "JobStore",
-    "JobStoreBackend",
     "JobTimeoutError",
     "JobsConfig",
     "SharedDirectoryBackend",
-    "SingleProcessBackend",
     "StreamIdleTimeout",
     "CHECKPOINT_STAGES",
     "CircuitBreaker",

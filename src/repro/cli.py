@@ -492,22 +492,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     jobs = JobsConfig()
     if args.state_dir is not None:
         state_dir = Path(args.state_dir)
+        legacy = state_dir / "jobs.json"
+        if legacy.exists():
+            raise ConfigurationError(
+                f"{legacy} is a job store snapshot in the retired "
+                "single-file format; jobs now persist as one record per "
+                f"job under {state_dir / 'store'}. Move the file away "
+                "(its jobs are not imported) or use another --state-dir"
+            )
         state_dir.mkdir(parents=True, exist_ok=True)
-        if procs > 1:
-            # Multi-process front: per-job records in a shared
-            # directory store all workers drain together, instead of
-            # one JSON snapshot they would fight over.
-            jobs = JobsConfig(
-                store_dir=str(state_dir / "store"),
-                checkpoint_dir=str(state_dir / "checkpoints"),
-                job_deadline_seconds=args.job_deadline,
-            )
-        else:
-            jobs = JobsConfig(
-                persist_path=str(state_dir / "jobs.json"),
-                checkpoint_dir=str(state_dir / "checkpoints"),
-                job_deadline_seconds=args.job_deadline,
-            )
+        # One layout for any --procs: serve() tells the job manager
+        # how many replicas share the store.
+        jobs = JobsConfig(
+            store_dir=str(state_dir / "store"),
+            checkpoint_dir=str(state_dir / "checkpoints"),
+            job_deadline_seconds=args.job_deadline,
+        )
     elif procs > 1:
         raise ConfigurationError(
             "--procs > 1 requires --state-dir: the worker processes "

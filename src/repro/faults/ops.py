@@ -30,7 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import CircuitOpen, ReproError
-from ..jobs import JobManager, JobsConfig, JobStore
+from ..jobs import JobManager, JobsConfig, JobStore, SharedDirectoryBackend
 from ..perf.pool import WorkerPool
 from ..resilience import JobCheckpointer, spool_input
 from ..serialization import annotation_to_dict
@@ -51,7 +51,7 @@ class _SimulatedKill(BaseException):
     A ``BaseException`` on purpose: it must tunnel through the
     pipeline's ``except Exception`` recovery layers exactly like a real
     kill signal tears through them, leaving the on-disk state (store
-    snapshot, spool, checkpoints) as the only witness.
+    records, spool, checkpoints) as the only witness.
     """
 
 
@@ -233,7 +233,7 @@ def run_ops_chaos(
     """Run every operational chaos scenario and collect the outcomes.
 
     ``video``/``annotation``/``config`` mirror :func:`run_chaos`;
-    ``state_root`` (a scratch directory for store snapshots, spools and
+    ``state_root`` (a scratch directory for store records, spools and
     checkpoints) defaults to a temp dir removed afterwards.  Scenario
     errors are recorded as non-survivals, never propagated.
     """
@@ -295,7 +295,7 @@ def _scenario_kill_mid_job(
     from ..serialization import analysis_payload
 
     state.mkdir(parents=True, exist_ok=True)
-    persist = str(state / "jobs.json")
+    store_dir = str(state / "store")
     checkpoints = str(state / "checkpoints")
     analyzer = JumpAnalyzer(config)
     resolved = config_to_dict(analyzer.config)
@@ -313,7 +313,7 @@ def _scenario_kill_mid_job(
     )
 
     # Phase 1: the doomed process.
-    store = JobStore(persist_path=persist)
+    store = JobStore(backend=SharedDirectoryBackend(store_dir, shared=False))
     payload = store.create(
         JobStore.digest_of("ops-kill", str(seed), resolved_hash),
         seed=seed,
@@ -350,9 +350,7 @@ def _scenario_kill_mid_job(
 
     # Phase 2: the replacement process.
     pool = WorkerPool(2, thread_name_prefix="ops-kill")
-    jobs_config = JobsConfig(
-        persist_path=persist, checkpoint_dir=checkpoints
-    )
+    jobs_config = JobsConfig(store_dir=store_dir, checkpoint_dir=checkpoints)
     manager = JobManager(jobs_config, pool)
     try:
         recovered = manager.recover(lambda _cfg: JumpAnalyzer(config))
@@ -404,7 +402,7 @@ def _scenario_restart_mid_stream(
     from ..resilience import spool_stream_chunk
 
     state.mkdir(parents=True, exist_ok=True)
-    persist = str(state / "jobs.json")
+    store_dir = str(state / "store")
     checkpoints = str(state / "checkpoints")
     analyzer = JumpAnalyzer(config)
     resolved = config_to_dict(analyzer.config)
@@ -414,7 +412,7 @@ def _scenario_restart_mid_stream(
     half = max(1, len(frames) // 2)
 
     # Phase 1: the killed service's leftovers.
-    store = JobStore(persist_path=persist)
+    store = JobStore(backend=SharedDirectoryBackend(store_dir, shared=False))
     payload = store.create(
         JobStore.digest_of("ops-stream", str(seed), resolved_hash),
         seed=seed,
@@ -440,7 +438,7 @@ def _scenario_restart_mid_stream(
     # Phase 2: restart, replay, reconnect, finish.
     pool = WorkerPool(2, thread_name_prefix="ops-stream")
     jobs_config = JobsConfig(
-        persist_path=persist,
+        store_dir=store_dir,
         checkpoint_dir=checkpoints,
         stream_idle_timeout_seconds=30.0,
     )
@@ -567,7 +565,10 @@ def _scenario_drain_under_load(
     state.mkdir(parents=True, exist_ok=True)
     service_config = ServiceConfig(
         drain_timeout_seconds=60.0,
-        jobs=JobsConfig(persist_path=str(state / "jobs.json")),
+        jobs=JobsConfig(
+            store_dir=str(state / "store"),
+            checkpoint_dir=str(state / "checkpoints"),
+        ),
     )
     handle = ServiceHandle(config=config, service_config=service_config)
     handle.start()

@@ -14,13 +14,12 @@ Layout
     :class:`Job` records, :class:`JobState` lifecycle constants, and
     the :class:`JobsConfig` knobs (wired into ``ServiceConfig``).
 ``store``
-    :class:`JobStore` — lock-guarded LRU with result TTL and optional
-    JSON-file persistence.
+    :class:`JobStore` — lock-guarded LRU with result TTL, in memory or
+    persisted as one record per job.
 ``backends``
-    :class:`JobStoreBackend` storage protocol with the default
-    :class:`SingleProcessBackend` (in-memory + JSON snapshot) and the
-    :class:`SharedDirectoryBackend` N replicas drain together (atomic
-    rename claims — zero double-claims).
+    :class:`SharedDirectoryBackend` — the one on-disk job layout, owned
+    by one process or drained by N replicas together (atomic rename
+    claims — zero double-claims).
 ``worker``
     :class:`JobWorkerPool` — runs jobs on a shared
     :class:`~repro.perf.pool.WorkerPool`, mirrors pipeline
@@ -40,11 +39,7 @@ Layout
 
 from __future__ import annotations
 
-from .backends import (
-    JobStoreBackend,
-    SharedDirectoryBackend,
-    SingleProcessBackend,
-)
+from .backends import SharedDirectoryBackend
 from .manager import JobManager, JobQueueFull
 from .models import Job, JobsConfig, JobState
 from .store import JobStore
@@ -60,10 +55,8 @@ __all__ = [
     "JobQueueFull",
     "JobState",
     "JobStore",
-    "JobStoreBackend",
     "JobWorkerPool",
     "JobsConfig",
     "SharedDirectoryBackend",
-    "SingleProcessBackend",
     "StreamIdleTimeout",
 ]

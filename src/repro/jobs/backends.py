@@ -1,31 +1,37 @@
-"""Pluggable persistence backends for the :class:`~repro.jobs.store.JobStore`.
+"""The on-disk job layout behind a persisted :class:`~repro.jobs.store.JobStore`.
 
 The store's concurrency model never changes — one in-process lock
-guards every mutation — but *where records live* is now a backend:
-
-``SingleProcessBackend``
-    The historical behaviour: an in-memory store optionally mirrored
-    to one JSON snapshot file on every transition.  One process owns
-    the file; replicas must not share it.
-
-``SharedDirectoryBackend``
-    A file-locked directory N service replicas (e.g. ``slj serve
-    --procs N``) share.  Every job is its own JSON record written via
-    tmp-file + :func:`os.replace`; submissions additionally drop a
-    marker into ``queue/``; a replica claims work by atomically
-    renaming the marker into ``claims/`` — :func:`os.replace` on POSIX
-    guarantees exactly one renamer wins, so two replicas can never
-    claim the same job.  The id sequence lives in ``index.json`` under
-    an ``fcntl`` lock so replicas mint non-colliding job ids.
-
-Layout of a shared store directory::
+guards every mutation — but a persisted store keeps its records in one
+directory layout, whether one process owns the directory or N service
+replicas (``slj serve --procs N``) share it::
 
     store/
-      index.json     {"seq": N}           (fcntl-locked via index.lock)
-      index.lock
-      jobs/<id>.json one record per job   (atomic replace on write)
-      queue/<id>     submitted, unclaimed
-      claims/<id>    claimed; content = owner id
+      index.json     {"seq": N, "expired": {id: state}}
+      index.lock     fcntl lock serialising index updates
+      jobs/<id>.json one record per job
+      queue/<id>     submitted, unclaimed          (shared only)
+      claims/<id>    claimed; content = owner id   (shared only)
+
+Every file is written through :func:`~repro.resilience.atomic.atomic_write`
+(unique dot-prefixed temporary name, file and directory ``fsync``,
+atomic replace), so a reader never sees a torn file and every scan
+below skips dot-names.  Each transition rewrites only the changed
+job's record.
+
+``shared`` says who else uses the directory.  An **owned** directory
+(one process) is read back whole at startup and the index is rewritten
+only when the expired-id map changes.  A **shared** directory is read
+per request by every replica; submissions additionally drop a marker
+into ``queue/`` and a replica claims work by atomically renaming the
+marker into ``claims/`` — :func:`os.replace` on POSIX guarantees
+exactly one renamer wins, so two replicas can never claim the same
+job.  Replicas mint non-colliding ids by bumping the index's ``seq``
+under the ``fcntl`` lock.
+
+The records are the truth: an unreadable or missing ``index.json`` is
+rebuilt with the highest sequence number among the records (so new ids
+still sort after old ones, which the FIFO claim order relies on) and
+an empty expired-id map.
 
 Backends only move bytes; all lifecycle semantics (states, TTL,
 capacity, cancellation) stay in the store.
@@ -35,147 +41,48 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any
 
 from ..errors import ConfigurationError
+from ..resilience.atomic import atomic_write
 
-try:  # POSIX only; the shared backend refuses to build without it.
+try:  # POSIX only; the directory store refuses to build without it.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
-
-def _write_atomic(path: Path, payload: dict[str, Any]) -> None:
-    """Write JSON so readers only ever see complete documents."""
-    tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(path)
+#: Job ids are ``j<seq>-<digest>``; the sequence number orders them.
+_SEQ = re.compile(r"j(\d+)-")
 
 
-class JobStoreBackend(Protocol):
-    """What a :class:`~repro.jobs.store.JobStore` needs from storage.
-
-    ``shared`` is the behavioural switch: a shared backend stores one
-    record per job (other replicas read them concurrently) and serves
-    the submit queue; a non-shared backend persists whole-store
-    snapshots and has no queue.
-    """
-
-    kind: str
-    shared: bool
-
-    def load_snapshot(self) -> dict[str, Any] | None:
-        """The persisted snapshot (non-shared), or ``{"seq": n}`` (shared)."""
-        ...
-
-    def persist_snapshot(self, payload: dict[str, Any]) -> None:
-        """Persist the whole store state (non-shared backends only)."""
-        ...
-
-    def allocate_seq(self) -> int:
-        """Atomically mint the next job sequence number (shared only)."""
-        ...
-
-    def write_job(self, record: dict[str, Any]) -> None:
-        """Upsert one job record."""
-        ...
-
-    def read_job(self, job_id: str) -> dict[str, Any] | None:
-        """One job record, or ``None`` when unknown."""
-        ...
-
-    def remove_job(self, job_id: str) -> None:
-        """Forget one job record (idempotent)."""
-        ...
-
-    def list_job_ids(self) -> list[str]:
-        """Ids of every stored job record."""
-        ...
-
-    def enqueue(self, job_id: str) -> None:
-        """Publish a submitted job for any replica to claim."""
-        ...
-
-    def claim_next(self, owner: str) -> str | None:
-        """Atomically claim the oldest queued job, or ``None``.
-
-        At most one replica ever gets a given id back from this call.
-        """
-        ...
+def _write_json(path: Path, payload: dict[str, Any]) -> None:
+    atomic_write(path, json.dumps(payload).encode("utf-8"))
 
 
-class SingleProcessBackend:
-    """The default backend: in-memory, optionally JSON-mirrored.
-
-    Exactly reproduces the store's historical persistence: the whole
-    state is rewritten (tmp + replace) on every transition, and the
-    snapshot is read back once at startup.
-    """
-
-    kind = "single"
-    shared = False
-
-    def __init__(self, persist_path: str | Path | None = None) -> None:
-        self._path = Path(persist_path) if persist_path else None
-
-    def load_snapshot(self) -> dict[str, Any] | None:
-        if self._path is None or not self._path.exists():
-            return None
-        try:
-            return json.loads(self._path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(
-                f"could not load job store from {self._path}: {exc}"
-            ) from exc
-
-    def persist_snapshot(self, payload: dict[str, Any]) -> None:
-        if self._path is None:
-            return
-        tmp = self._path.with_suffix(self._path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(self._path)
-
-    # The queue/record surface is a shared-backend concept.
-    def allocate_seq(self) -> int:  # pragma: no cover - store guards this
-        raise ConfigurationError("single-process backend has no shared seq")
-
-    def write_job(self, record: dict[str, Any]) -> None:
-        raise ConfigurationError("single-process backend stores snapshots")
-
-    def read_job(self, job_id: str) -> dict[str, Any] | None:
-        return None
-
-    def remove_job(self, job_id: str) -> None:
-        return None
-
-    def list_job_ids(self) -> list[str]:
-        return []
-
-    def enqueue(self, job_id: str) -> None:
-        raise ConfigurationError("single-process backend has no claim queue")
-
-    def claim_next(self, owner: str) -> str | None:
-        return None
+def _names(directory: Path) -> list[str]:
+    """Sorted entry names, minus in-flight (dot-prefixed) temporaries."""
+    return sorted(
+        name for name in os.listdir(directory) if not name.startswith(".")
+    )
 
 
 class SharedDirectoryBackend:
-    """A shared-directory store N replicas drain with zero double-claims."""
+    """The one on-disk job layout, owned by one process or shared by N."""
 
-    kind = "shared_directory"
-    shared = True
-
-    def __init__(self, root: str | Path) -> None:
+    def __init__(self, root: str | Path, shared: bool = True) -> None:
         if fcntl is None:  # pragma: no cover - non-POSIX
-            raise ConfigurationError(
-                "the shared-directory job store needs fcntl (POSIX)"
-            )
+            raise ConfigurationError("the directory job store needs fcntl (POSIX)")
+        self.shared = shared
         self.root = Path(root)
         self._jobs = self.root / "jobs"
         self._queue = self.root / "queue"
         self._claims = self.root / "claims"
-        for directory in (self.root, self._jobs, self._queue, self._claims):
-            directory.mkdir(parents=True, exist_ok=True)
+        self._jobs.mkdir(parents=True, exist_ok=True)
+        if shared:
+            self._queue.mkdir(exist_ok=True)
+            self._claims.mkdir(exist_ok=True)
         self._index = self.root / "index.json"
         self._index_lock = self.root / "index.lock"
 
@@ -185,48 +92,70 @@ class SharedDirectoryBackend:
         fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         return handle
 
-    def load_snapshot(self) -> dict[str, Any] | None:
-        with self._locked_index():
-            if not self._index.exists():
-                return None
-            try:
-                return {"seq": int(json.loads(self._index.read_text())["seq"])}
-            except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                return None
+    def _read_index_locked(self) -> dict[str, Any]:
+        seq, expired = 0, {}
+        try:
+            index = json.loads(self._index.read_bytes())
+            seq, expired = int(index["seq"]), dict(index.get("expired", {}))
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # missing or unreadable: rebuilt from the records below
+        seqs = [int(m.group(1)) for m in map(_SEQ.match, self.list_job_ids()) if m]
+        return {"seq": max([seq, *seqs]), "expired": expired}
 
-    def persist_snapshot(self, payload: dict[str, Any]) -> None:
-        # Shared stores persist per-job; nothing snapshot-shaped to do.
-        return None
+    def read_index(self) -> dict[str, Any]:
+        """``{"seq", "expired"}``; ``seq`` is never below any record's."""
+        with self._locked_index():
+            return self._read_index_locked()
+
+    def write_index(self, seq: int, expired: dict[str, str]) -> None:
+        """Persist the sequence number and the expired-id map."""
+        with self._locked_index():
+            _write_json(self._index, {"seq": seq, "expired": expired})
 
     def allocate_seq(self) -> int:
+        """Atomically mint the next job sequence number across replicas."""
         with self._locked_index():
-            seq = 0
-            if self._index.exists():
-                try:
-                    seq = int(json.loads(self._index.read_text())["seq"])
-                except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                    seq = 0
-            seq += 1
-            _write_atomic(self._index, {"seq": seq})
-            return seq
+            index = self._read_index_locked()
+            index["seq"] += 1
+            _write_json(self._index, index)
+            return index["seq"]
 
     # -- records --------------------------------------------------------
     def write_job(self, record: dict[str, Any]) -> None:
-        _write_atomic(self._jobs / f"{record['id']}.json", record)
+        """Upsert one job record."""
+        _write_json(self._jobs / f"{record['id']}.json", record)
 
     def read_job(self, job_id: str) -> dict[str, Any] | None:
+        """One job record, or ``None`` when unknown or unreadable."""
         path = self._jobs / f"{job_id}.json"
         try:
-            return json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError):
-            # A reader racing the atomic replace never sees this (the
-            # rename is atomic); an unreadable record means tampering —
-            # treat as unknown rather than poisoning every listing.
+            return json.loads(path.read_bytes())
+        except (OSError, ValueError):
+            # Writes are atomic, so an unreadable record means
+            # tampering — treat it as unknown rather than poisoning
+            # every listing of a live shared store.
             return None
 
+    def records(self) -> list[dict[str, Any]]:
+        """Every job record, oldest first (an owned store's startup read).
+
+        Raises :class:`~repro.errors.ConfigurationError` naming the
+        file when a record is unreadable: the record is the only copy
+        of that job, so starting without it would lose it silently.
+        """
+        out = []
+        for job_id in self.list_job_ids():
+            path = self._jobs / f"{job_id}.json"
+            try:
+                out.append(json.loads(path.read_bytes()))
+            except (OSError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"could not load job record {path}: {exc}"
+                ) from exc
+        return out
+
     def remove_job(self, job_id: str) -> None:
+        """Forget one job record and its queue/claim markers (idempotent)."""
         for path in (
             self._jobs / f"{job_id}.json",
             self._queue / job_id,
@@ -238,42 +167,46 @@ class SharedDirectoryBackend:
                 pass
 
     def list_job_ids(self) -> list[str]:
-        return sorted(path.stem for path in self._jobs.glob("*.json"))
+        """Ids of every stored job record, oldest first."""
+        return [
+            name[: -len(".json")]
+            for name in _names(self._jobs)
+            if name.endswith(".json")
+        ]
 
     # -- queue ----------------------------------------------------------
     def enqueue(self, job_id: str) -> None:
-        _write_atomic(self._queue / job_id, {"id": job_id})
+        """Publish a submitted job for any replica to claim."""
+        _write_json(self._queue / job_id, {"id": job_id})
 
     def claim_next(self, owner: str) -> str | None:
+        """Atomically claim the oldest queued job, or ``None``.
+
+        At most one replica ever gets a given id back from this call.
+        """
         # Job ids start with a zero-padded sequence number, so sorted
         # marker names are submission order.
-        for marker in sorted(self._queue.iterdir()):
-            if marker.name.startswith("."):
-                continue
-            claim = self._claims / marker.name
+        for name in _names(self._queue):
+            claim = self._claims / name
             try:
                 # The atomic heart of multi-replica draining: rename is
                 # all-or-nothing, so of N replicas racing for this
                 # marker exactly one sees success and every other gets
                 # FileNotFoundError and moves on.
-                os.replace(marker, claim)
+                os.replace(self._queue / name, claim)
             except FileNotFoundError:
                 continue
-            claim.write_text(json.dumps({"owner": owner}))
-            return marker.name
+            _write_json(claim, {"owner": owner})
+            return name
         return None
 
     def queued_ids(self) -> list[str]:
         """Currently unclaimed submissions, oldest first."""
-        return sorted(
-            path.name
-            for path in self._queue.iterdir()
-            if not path.name.startswith(".")
-        )
+        return _names(self._queue)
 
     def claim_owner(self, job_id: str) -> str | None:
         """Who claimed ``job_id``, if anyone."""
         try:
-            return json.loads((self._claims / job_id).read_text()).get("owner")
-        except (OSError, json.JSONDecodeError):
+            return json.loads((self._claims / job_id).read_bytes()).get("owner")
+        except (OSError, ValueError):
             return None

@@ -50,6 +50,11 @@ class JobManager:
     of failed, and :meth:`recover` re-submits them.  The watchdog and
     the per-config circuit breaker live here too — the service only
     maps their refusals to status codes.
+
+    ``replicas`` is how many service processes use
+    ``config.store_dir``: with one, this manager owns the directory
+    and runs its submissions itself; with more, submissions go through
+    the directory's claim queue that every replica drains.
     """
 
     def __init__(
@@ -59,6 +64,7 @@ class JobManager:
         metrics: Any | None = None,
         serializer: Callable[[Any], dict[str, Any]] = analysis_payload,
         clock: Callable[[], float] | None = None,
+        replicas: int = 1,
     ) -> None:
         self.config = config
         resumable = None
@@ -74,9 +80,9 @@ class JobManager:
             "resumable": resumable,
         }
         if config.store_dir:
-            store_kwargs["backend"] = SharedDirectoryBackend(config.store_dir)
-        else:
-            store_kwargs["persist_path"] = config.persist_path
+            store_kwargs["backend"] = SharedDirectoryBackend(
+                config.store_dir, shared=replicas > 1
+            )
         if clock is not None:
             store_kwargs["clock"] = clock
         self.store = JobStore(**store_kwargs)
@@ -426,7 +432,7 @@ class JobManager:
         return recovered
 
     # ------------------------------------------------------------------
-    # Shared-queue draining (store_dir mode)
+    # Shared-queue draining (store_dir with more than one replica)
     # ------------------------------------------------------------------
     def start_drain(
         self, analyzer_factory: Callable[[dict[str, Any] | None], Any]
@@ -522,7 +528,7 @@ class JobManager:
         stats = self.store.stats()
         stats["enabled"] = self.config.enabled
         stats["max_queued"] = self.config.max_queued
-        stats["backend"] = self.store.backend.kind
+        stats["backend"] = "shared_directory" if self.store.shared else "single"
         stats["claimed"] = self.claimed_count
         stats["open_streams"] = self.open_streams()
         stats["watchdog_timeouts"] = self.workers.watchdog_timeouts

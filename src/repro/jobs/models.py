@@ -63,17 +63,16 @@ class JobsConfig:
     result_ttl_seconds: float = 3600.0
     # Refuse new submissions beyond this many non-terminal jobs (503).
     max_queued: int = 64
-    # Optional JSON file the store mirrors itself into; terminal jobs
-    # (results included) survive a service restart.
-    persist_path: str | None = None
-    # Shared-directory job store (see repro.jobs.backends) N service
-    # replicas drain together: submissions are enqueued there and any
+    # Directory the job store persists its records in (see
+    # repro.jobs.backends); terminal jobs (results included) survive a
+    # service restart.  One service process owns it; with N replicas
+    # (``slj serve --procs N``) submissions are enqueued there and any
     # replica claims them (atomic rename — zero double-claims).
-    # Requires checkpoint_dir, since the claiming replica rebuilds the
-    # job from its input spool.  Mutually exclusive with persist_path.
+    # Requires checkpoint_dir, since a restarted or claiming replica
+    # rebuilds a job from its input spool.
     store_dir: str | None = None
     # Cadence at which a replica polls the shared queue for claimable
-    # work (store_dir mode only).
+    # work (a store_dir shared by several replicas only).
     store_drain_interval_seconds: float = 0.25
     # Bounded per-job frame queue for streaming jobs; chunks that would
     # overflow it answer 429 until the worker drains the backlog.
@@ -125,17 +124,11 @@ class JobsConfig:
             raise ConfigurationError(
                 "jobs.breaker_cooldown_seconds must be > 0"
             )
-        if self.store_dir is not None:
-            if self.persist_path is not None:
-                raise ConfigurationError(
-                    "jobs.store_dir and jobs.persist_path are mutually "
-                    "exclusive (the shared store persists per-job records)"
-                )
-            if self.checkpoint_dir is None:
-                raise ConfigurationError(
-                    "jobs.store_dir requires jobs.checkpoint_dir: claiming "
-                    "replicas rebuild jobs from the input spool"
-                )
+        if self.store_dir is not None and self.checkpoint_dir is None:
+            raise ConfigurationError(
+                "jobs.store_dir requires jobs.checkpoint_dir: restarted "
+                "and claiming replicas rebuild jobs from the input spool"
+            )
         if self.store_drain_interval_seconds <= 0:
             raise ConfigurationError(
                 "jobs.store_drain_interval_seconds must be > 0"

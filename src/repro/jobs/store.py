@@ -15,9 +15,11 @@ so one reentrant lock serialises the whole lifecycle.
 * **TTL** — terminal jobs expire ``ttl_seconds`` after finishing.
   Expired ids are remembered (bounded) so the service can answer a
   structured ``410 result_expired`` instead of a bare 404.
-* **Persistence** — with ``persist_path`` the store mirrors itself to
-  a JSON file on every state transition; terminal jobs (results
-  included) survive a restart.  Jobs caught mid-flight are restored as
+* **Persistence** — with a
+  :class:`~repro.jobs.backends.SharedDirectoryBackend` every state
+  transition rewrites the changed job's record; terminal jobs (results
+  included) and the expired-id memory survive a restart.  In an owned
+  (non-shared) directory, jobs caught mid-flight are restored as
   ``failed`` with an ``Interrupted`` error — unless the owner passes a
   ``resumable`` predicate (the manager's input-spool check, see
   :mod:`repro.resilience.checkpoint`) that recognises them, in which
@@ -31,10 +33,9 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Callable
 
-from .backends import JobStoreBackend, SingleProcessBackend
+from .backends import SharedDirectoryBackend
 from .models import Job, JobState
 from ..errors import ConfigurationError
 
@@ -45,24 +46,23 @@ _EXPIRED_MEMORY = 1024
 class JobStore:
     """Lock-guarded LRU of :class:`Job` records with TTL + persistence.
 
-    Storage is delegated to a :class:`~repro.jobs.backends.JobStoreBackend`:
-    the default :class:`~repro.jobs.backends.SingleProcessBackend`
-    reproduces the historical in-memory + JSON-snapshot behaviour; a
-    *shared* backend (``backend.shared``) keeps one record per job in
-    a directory N replicas read concurrently, in which case this
-    store's dict only holds **locally owned** jobs (created streams,
-    claimed batch work) and every other read falls through to the
-    backend's records.
+    Without a backend the store lives in memory only.  With a
+    :class:`~repro.jobs.backends.SharedDirectoryBackend` it keeps one
+    record per job on disk.  An owned directory (``backend.shared``
+    false) is loaded whole at startup and this store's dict holds
+    every job.  A *shared* directory is read concurrently by N
+    replicas, so this store's dict only holds **locally owned** jobs
+    (created streams, claimed batch work) and every other read falls
+    through to the backend's records.
     """
 
     def __init__(
         self,
         capacity: int = 256,
         ttl_seconds: float = 3600.0,
-        persist_path: str | Path | None = None,
         clock: Callable[[], float] = time.time,
         resumable: Callable[[str], bool] | None = None,
-        backend: JobStoreBackend | None = None,
+        backend: SharedDirectoryBackend | None = None,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(f"job store capacity must be >= 1, got {capacity}")
@@ -70,13 +70,9 @@ class JobStore:
             raise ConfigurationError(
                 f"job store ttl_seconds must be > 0, got {ttl_seconds}"
             )
-        if backend is not None and persist_path is not None:
-            raise ConfigurationError(
-                "pass either persist_path or an explicit backend, not both"
-            )
         self._capacity = capacity
         self._ttl = ttl_seconds
-        self._backend = backend or SingleProcessBackend(persist_path)
+        self._backend = backend
         self._clock = clock
         self._resumable = resumable or (lambda _job_id: False)
         self._lock = threading.RLock()
@@ -92,14 +88,9 @@ class JobStore:
         return self._clock
 
     @property
-    def backend(self) -> JobStoreBackend:
-        """The storage backend records live in."""
-        return self._backend
-
-    @property
     def shared(self) -> bool:
         """True when multiple replicas share this store's records."""
-        return self._backend.shared
+        return self._backend is not None and self._backend.shared
 
     # ------------------------------------------------------------------
     # Creation / identity
@@ -151,7 +142,7 @@ class JobStore:
                 return job.to_dict()
             self._jobs[job_id] = job
             self._enforce_capacity()
-            self._save()
+            self._save(job)
             return job.to_dict()
 
     # ------------------------------------------------------------------
@@ -162,8 +153,11 @@ class JobStore:
         self._backend.enqueue(job_id)
 
     def claim_next(self, owner: str) -> str | None:
-        """Claim the oldest queued job for ``owner`` (at most one winner)."""
-        return self._backend.claim_next(owner)
+        """Claim the oldest queued job for ``owner`` (at most one winner).
+
+        ``None`` when nothing is queued or the store is not shared.
+        """
+        return self._backend.claim_next(owner) if self.shared else None
 
     def adopt(self, job_id: str) -> dict[str, Any] | None:
         """Take local ownership of a shared record (after a claim).
@@ -509,70 +503,56 @@ class JobStore:
         while len(self._expired) > _EXPIRED_MEMORY:
             self._expired.popitem(last=False)
 
-    def _evict_expired(self, now: float | None = None) -> int:
+    def _evict(self, jobs: list[Job]) -> None:
+        """Forget ``jobs``, remembering their ids as expired (lock held)."""
+        for job in jobs:
+            del self._jobs[job.id]
+            self._remember_expired(job)
+        if self._backend is None or not jobs:
+            return
+        if not self.shared:
+            # Index first: a crash before the removals leaves records
+            # that expire again after the restart, never a lost seq.
+            self._backend.write_index(self._seq, dict(self._expired))
+        for job in jobs:
+            self._backend.remove_job(job.id)
+
+    def _evict_expired(self, now: float | None = None) -> None:
         """Drop terminal jobs past their TTL (call with the lock held)."""
         now = self._clock() if now is None else now
-        stale = [
+        self._evict([
             job for job in self._jobs.values()
             if job.terminal and job.expires_at is not None
             and job.expires_at <= now
-        ]
-        for job in stale:
-            del self._jobs[job.id]
-            self._remember_expired(job)
-            if self.shared:
-                self._backend.remove_job(job.id)
-        if stale:
-            self._save()
-        return len(stale)
+        ])
 
     def _enforce_capacity(self) -> None:
         """Evict oldest terminal jobs beyond capacity (lock held)."""
-        if len(self._jobs) <= self._capacity:
-            return
-        for job_id in list(self._jobs):
-            if len(self._jobs) <= self._capacity:
-                break
-            job = self._jobs[job_id]
-            if job.terminal:
-                del self._jobs[job_id]
-                self._remember_expired(job)
-                if self.shared:
-                    self._backend.remove_job(job_id)
+        excess = len(self._jobs) - self._capacity
+        if excess > 0:
+            terminal = [job for job in self._jobs.values() if job.terminal]
+            self._evict(terminal[:excess])
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _save(self, job: Job | None = None) -> None:
-        """Persist after a mutation (lock held).
-
-        Non-shared: the whole store is snapshotted (historical
-        behaviour, a no-op without a persist path).  Shared: only the
-        changed job's record is rewritten — full snapshots would race
-        other replicas' writes.
-        """
-        if self.shared:
-            if job is not None:
-                self._backend.write_job(job.to_record())
-            return
-        self._backend.persist_snapshot({
-            "seq": self._seq,
-            "jobs": [job.to_record() for job in self._jobs.values()],
-            "expired": dict(self._expired),
-        })
+    def _save(self, job: Job) -> None:
+        """Rewrite the changed job's record (lock held; no-op in memory)."""
+        if self._backend is not None:
+            self._backend.write_job(job.to_record())
 
     def _load(self) -> None:
-        payload = self._backend.load_snapshot()
-        if payload is None:
+        if self._backend is None:
             return
-        self._seq = int(payload.get("seq", 0))
+        index = self._backend.read_index()
+        self._seq = index["seq"]
         if self.shared:
             # Records stay in the backend; claims, not restarts, decide
             # who runs queued work, so no Interrupted/resumed rewrite.
             return
-        for name, state in dict(payload.get("expired", {})).items():
+        for name, state in index["expired"].items():
             self._expired[str(name)] = str(state)
-        for record in payload.get("jobs", []):
+        for record in self._backend.records():
             job = Job.from_record(record)
             if not job.terminal:
                 if self._resumable(job.id):
@@ -602,4 +582,5 @@ class JobStore:
                     }
                     job.finished_at = self._clock()
                     job.expires_at = job.finished_at + self._ttl
+                self._save(job)
             self._jobs[job.id] = job

@@ -3,6 +3,8 @@
 The analysis pipeline learned to degrade-not-die in PR 3; this package
 gives the *process around it* the same property:
 
+* :mod:`~repro.resilience.atomic` — :func:`atomic_write`, the one
+  durable (fsync'd, atomically replaced) write path for job state;
 * :mod:`~repro.resilience.checkpoint` — per-stage job checkpoints and
   input spools, so a restart resumes work instead of failing it;
 * :mod:`~repro.resilience.drain` — graceful shutdown: refuse new work,
@@ -16,6 +18,7 @@ Ops-level fault injection for all of the above lives in
 :mod:`repro.faults.ops` (``slj chaos --ops``).
 """
 
+from .atomic import atomic_write
 from .breaker import CircuitBreaker
 from .checkpoint import (
     CHECKPOINT_STAGES,
@@ -42,6 +45,7 @@ __all__ = [
     "ServiceLifecycle",
     "StageCheckpoint",
     "Watchdog",
+    "atomic_write",
     "clear_spool",
     "has_spool",
     "load_input_frames",

@@ -6,9 +6,9 @@ Two kinds of on-disk state live under one per-job directory
 * an **input spool** written at submit time (``input.npz`` +
   ``meta.json`` for batch jobs; a ``frames/chunk_*.npy`` sequence plus
   an ``eof`` marker for streaming jobs).  The :class:`~repro.jobs.store.JobStore`
-  persistence file only carries job *metadata* — without the spool a
-  restarted process has nothing to re-run, which is why jobs without
-  one still fail as ``Interrupted`` on restart (the PR-5 behaviour).
+  records only carry job *metadata* — without the spool a restarted
+  process has nothing to re-run, which is why jobs without one still
+  fail as ``Interrupted`` on restart.
 
 * a **stage checkpoint** written by :class:`JobCheckpointer` at every
   :class:`~repro.runtime.PipelineRunner` stage boundary.  On restart a
@@ -19,10 +19,10 @@ Checkpoint format (documented in ``docs/robustness.md``): the commit
 marker is ``checkpoint.json`` — scalars, the serialised annotation,
 per-frame health and the numpy bit-generator state — next to a
 ``checkpoint.npz`` holding the bulky arrays (person-mask stack,
-background, candidate masks, pose/record genes).  Both are written to
-temporary names and ``os.replace``-d (arrays first, JSON last), so a
-crash mid-write leaves the previous checkpoint intact, never a torn
-one.
+background, candidate masks, pose/record genes).  Both go through
+:func:`~repro.resilience.atomic.atomic_write` (arrays first, JSON
+last), so a crash or power loss mid-write leaves the previous
+checkpoint intact, never a torn one.
 
 Fidelity contract: silhouette *intermediates* (Fig. 2 a–d working
 masks) are not preserved across a resume — they are reproducible and
@@ -39,7 +39,6 @@ the uninterrupted run (``trace`` timings aside).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -48,6 +47,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..serialization import annotation_from_dict, annotation_to_dict
+from .atomic import atomic_write
 
 #: Stages worth checkpointing, in pipeline order.  The tail stages
 #: (smoothing/events/scoring/measurement) run in milliseconds — a
@@ -197,13 +197,11 @@ class JobCheckpointer:
             meta["health"] = _health_to_dicts(tracking.health)
 
         self._dir.mkdir(parents=True, exist_ok=True)
-        npz_tmp = self._dir / "checkpoint.npz.tmp"
-        with open(npz_tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(npz_tmp, self._dir / "checkpoint.npz")
-        json_tmp = self._dir / "checkpoint.json.tmp"
-        json_tmp.write_text(json.dumps(meta))
-        os.replace(json_tmp, self._dir / "checkpoint.json")
+        atomic_write(
+            self._dir / "checkpoint.npz",
+            lambda handle: np.savez_compressed(handle, **arrays),
+        )
+        atomic_write(self._dir / "checkpoint.json", json.dumps(meta).encode())
         self.writes += 1
 
     # ------------------------------------------------------------------
@@ -377,19 +375,17 @@ def spool_input(
     job_dir = Path(directory) / job_id
     job_dir.mkdir(parents=True, exist_ok=True)
     if frames is not None:
-        tmp = job_dir / "input.npz.tmp"
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, frames=np.asarray(frames))
-        os.replace(tmp, job_dir / "input.npz")
+        atomic_write(
+            job_dir / "input.npz",
+            lambda handle: np.savez_compressed(handle, frames=np.asarray(frames)),
+        )
     meta = {
         "mode": mode,
         "seed": int(seed),
         "config": config,
         "annotation": annotation,
     }
-    tmp = job_dir / "meta.json.tmp"
-    tmp.write_text(json.dumps(meta))
-    os.replace(tmp, job_dir / "meta.json")
+    atomic_write(job_dir / "meta.json", json.dumps(meta).encode())
     return job_dir
 
 
@@ -419,17 +415,17 @@ def spool_stream_chunk(
     """Append one pushed frame chunk to a streaming job's spool."""
     chunk_dir = Path(directory) / job_id / "frames"
     chunk_dir.mkdir(parents=True, exist_ok=True)
-    tmp = chunk_dir / f"chunk_{index:06d}.npy.tmp"
-    with open(tmp, "wb") as handle:
-        np.save(handle, np.asarray(frames))
-    os.replace(tmp, chunk_dir / f"chunk_{index:06d}.npy")
+    atomic_write(
+        chunk_dir / f"chunk_{index:06d}.npy",
+        lambda handle: np.save(handle, np.asarray(frames)),
+    )
 
 
 def spool_stream_eof(directory: str | Path, job_id: str) -> None:
     """Record that the client already sent eof (marker file)."""
     job_dir = Path(directory) / job_id
     job_dir.mkdir(parents=True, exist_ok=True)
-    (job_dir / "eof").touch()
+    atomic_write(job_dir / "eof", b"")
 
 
 def load_stream_spool(

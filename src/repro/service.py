@@ -1222,6 +1222,7 @@ class ServiceHandle:
         config: AnalyzerConfig | None = None,
         service_config: ServiceConfig | None = None,
         listener: socket.socket | None = None,
+        replicas: int = 1,
     ) -> None:
         service_config = service_config or ServiceConfig()
         if listener is not None:
@@ -1252,6 +1253,7 @@ class ServiceHandle:
             service_config.jobs,
             self._server.pool,  # type: ignore[attr-defined]
             metrics=self._server.metrics,  # type: ignore[attr-defined]
+            replicas=replicas,
         )
         self._server.lifecycle = ServiceLifecycle()  # type: ignore[attr-defined]
         # Re-submit jobs a previous process left behind (store restored
@@ -1259,8 +1261,8 @@ class ServiceHandle:
         self._server.jobs.recover(  # type: ignore[attr-defined]
             self._recovery_analyzer
         )
-        # With a shared store (jobs.store_dir) this replica also drains
-        # the cross-replica submit queue in the background.
+        # With a store_dir shared by several replicas this replica also
+        # drains the cross-replica submit queue in the background.
         self._server.jobs.start_drain(  # type: ignore[attr-defined]
             self._recovery_analyzer
         )
@@ -1446,6 +1448,7 @@ def _serve_forked(
                     config=config,
                     service_config=service_config,
                     listener=listener,
+                    replicas=procs,
                 )
                 _serve_until_signalled(handle)
             finally:

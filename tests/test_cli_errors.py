@@ -41,6 +41,43 @@ class TestDemoErrors:
         assert err.startswith("error[TrackingError]: lost the jumper")
 
 
+class TestServeErrors:
+    def test_legacy_job_snapshot_is_refused(self, tmp_path, monkeypatch, capsys):
+        """A --state-dir from before the per-job layout fails fast.
+
+        Its ``jobs.json`` snapshot is not imported; starting anyway
+        would silently drop the jobs it holds.
+        """
+        import repro.service
+
+        legacy = tmp_path / "jobs.json"
+        legacy.write_text('{"seq": 3, "jobs": [], "expired": {}}')
+        served = []
+        monkeypatch.setattr(repro.service, "serve", lambda **kw: served.append(kw))
+        rc = cli.main(["serve", "--port", "0", "--state-dir", str(tmp_path)])
+        assert rc == 2
+        assert served == []
+        err = capsys.readouterr().err
+        assert err.startswith("error[ConfigurationError]: ")
+        assert str(legacy) in err
+        assert not (tmp_path / "store").exists()
+
+    def test_state_dir_persists_per_job_records(self, tmp_path, monkeypatch):
+        import repro.service
+
+        served = []
+        monkeypatch.setattr(repro.service, "serve", lambda **kw: served.append(kw))
+        for procs in ("1", "2"):
+            rc = cli.main(["serve", "--port", "0", "--procs", procs,
+                           "--state-dir", str(tmp_path)])
+            assert rc == 0
+        assert [kw["procs"] for kw in served] == [1, 2]
+        for kw in served:
+            jobs = kw["service_config"].jobs
+            assert jobs.store_dir == str(tmp_path / "store")
+            assert jobs.checkpoint_dir == str(tmp_path / "checkpoints")
+
+
 class TestErrorFormat:
     @pytest.mark.parametrize("exc", [VideoError("v"), TrackingError("t")])
     def test_subclass_name_is_reported(self, monkeypatch, capsys, exc):

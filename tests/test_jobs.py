@@ -14,6 +14,7 @@ from repro.jobs import (
     JobState,
     JobStore,
     JobsConfig,
+    SharedDirectoryBackend,
 )
 from repro.perf.pool import WorkerPool
 from repro.runtime import CancellationToken
@@ -183,15 +184,19 @@ class TestJobStore:
         assert [job["id"] for job in succeeded] == [done]
 
 
+def _owned_store(root, **kwargs) -> JobStore:
+    """A store persisted in a directory one process owns."""
+    return JobStore(backend=SharedDirectoryBackend(root, shared=False), **kwargs)
+
+
 class TestJobStorePersistence:
     def test_round_trip_preserves_terminal_jobs(self, tmp_path):
-        path = tmp_path / "jobs.json"
-        store = JobStore(capacity=4, persist_path=path)
+        store = _owned_store(tmp_path, capacity=4)
         job_id = store.create("d" * 10, seed=5, config_hash="cafe")["id"]
         store.mark_running(job_id, total_stages=3)
         store.finish(job_id, JobState.SUCCEEDED, result={"score": 0.5})
 
-        reopened = JobStore(capacity=4, persist_path=path)
+        reopened = _owned_store(tmp_path, capacity=4)
         payload = reopened.payload(job_id, include_result=True)
         assert payload["state"] == "succeeded"
         assert payload["result"] == {"score": 0.5}
@@ -199,30 +204,69 @@ class TestJobStorePersistence:
         assert payload["config_hash"] == "cafe"
 
     def test_interrupted_jobs_are_failed_on_load(self, tmp_path):
-        path = tmp_path / "jobs.json"
-        store = JobStore(capacity=4, persist_path=path)
+        store = _owned_store(tmp_path, capacity=4)
         job_id = store.create("d" * 10)["id"]
         store.mark_running(job_id)
 
-        reopened = JobStore(capacity=4, persist_path=path)
+        reopened = _owned_store(tmp_path, capacity=4)
         payload = reopened.payload(job_id)
         assert payload["state"] == "failed"
         assert payload["error"]["type"] == "Interrupted"
+        # The failure is persisted: a second restart sees the same job.
+        again = _owned_store(tmp_path, capacity=4).payload(job_id)
+        assert again["finished_at"] == payload["finished_at"]
 
     def test_sequence_continues_after_reload(self, tmp_path):
-        path = tmp_path / "jobs.json"
-        store = JobStore(capacity=4, persist_path=path)
+        store = _owned_store(tmp_path, capacity=4)
         first = store.create("a" * 10)["id"]
-        reopened = JobStore(capacity=4, persist_path=path)
+        reopened = _owned_store(tmp_path, capacity=4)
         second = reopened.create("b" * 10)["id"]
         assert first.startswith("j00001-")
         assert second.startswith("j00002-")
 
     def test_corrupt_file_raises_configuration_error(self, tmp_path):
-        path = tmp_path / "jobs.json"
-        path.write_text("{nope")
-        with pytest.raises(ConfigurationError):
-            JobStore(capacity=4, persist_path=path)
+        store = _owned_store(tmp_path, capacity=4)
+        job_id = store.create("d" * 10)["id"]
+        record = tmp_path / "jobs" / f"{job_id}.json"
+        record.write_text("{nope")
+        with pytest.raises(ConfigurationError, match=job_id):
+            _owned_store(tmp_path, capacity=4)
+
+    def test_each_transition_rewrites_only_its_record(self, tmp_path):
+        store = _owned_store(tmp_path, capacity=4)
+        first = store.create("a" * 10)["id"]
+        second = store.create("b" * 10)["id"]
+        record = tmp_path / "jobs" / f"{first}.json"
+        untouched = (record.stat().st_ino, record.stat().st_mtime_ns)
+        store.mark_running(second)
+        store.finish(second, JobState.SUCCEEDED, result={})
+        assert (record.stat().st_ino, record.stat().st_mtime_ns) == untouched
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.lock", "jobs"]
+
+    def test_expired_ids_answer_410_after_a_restart(self, tmp_path):
+        clock = FakeClock()
+        store = _owned_store(tmp_path, ttl_seconds=10.0, clock=clock)
+        job_id = store.create("d" * 10)["id"]
+        store.mark_running(job_id)
+        store.finish(job_id, JobState.SUCCEEDED, result={})
+        clock.advance(11.0)
+        assert store.payload(job_id) is None
+        assert store.is_expired(job_id)
+        assert not (tmp_path / "jobs" / f"{job_id}.json").exists()
+
+        reopened = _owned_store(tmp_path, ttl_seconds=10.0, clock=clock)
+        assert reopened.is_expired(job_id)
+        assert reopened.payload(job_id) is None
+        # The evicted job held the highest seq; ids still move forward.
+        assert reopened.create("e" * 10)["id"].startswith("j00002-")
+
+    def test_unreadable_index_rebuilds_seq_from_records(self, tmp_path):
+        store = _owned_store(tmp_path)
+        ids = [store.create(f"{i}" * 10)["id"] for i in range(3)]
+        (tmp_path / "index.json").write_text("{torn")
+        reopened = _owned_store(tmp_path)
+        assert reopened.create("f" * 10)["id"].startswith("j00004-")
+        assert [job["id"] for job in reopened.list_payload()][1:] == ids[::-1]
 
 
 class TestJobWorkerPool:

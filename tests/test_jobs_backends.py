@@ -11,11 +11,13 @@ actually runs what it claims.
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
 import pytest
 
+from repro.config import config_from_dict, config_to_dict
 from repro.errors import ConfigurationError
 from repro.jobs import (
     JobManager,
@@ -23,7 +25,6 @@ from repro.jobs import (
     JobState,
     JobStore,
     SharedDirectoryBackend,
-    SingleProcessBackend,
 )
 from repro.perf.pool import WorkerPool
 from repro.video.sequence import VideoSequence
@@ -38,22 +39,29 @@ def _backend(root):
     return SharedDirectoryBackend(root)
 
 
-class TestSingleProcessBackend:
-    def test_is_the_non_shared_default(self, tmp_path):
-        backend = SingleProcessBackend()
-        assert backend.kind == "single"
-        assert not backend.shared
-        store = JobStore()
-        assert not store.shared
-        assert store.backend.kind == "single"
+class TestOwnedDirectory:
+    def test_replica_count_decides_ownership(self, tmp_path):
+        assert not JobStore().shared
+        config = JobsConfig(
+            store_dir=str(tmp_path / "store"),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        for replicas, shared, kind in ((1, False, "single"),
+                                       (2, True, "shared_directory")):
+            manager = JobManager(config, pool=WorkerPool(1), replicas=replicas)
+            try:
+                assert manager.store.shared is shared
+                assert manager.stats()["backend"] == kind
+            finally:
+                manager.close()
 
-    def test_refuses_shared_operations(self):
-        backend = SingleProcessBackend()
-        with pytest.raises(ConfigurationError):
-            backend.write_job({"id": "j1"})
-        with pytest.raises(ConfigurationError):
-            backend.enqueue("j1")
-        assert backend.claim_next("owner") is None
+    def test_owned_directory_has_no_claim_queue(self, store_root):
+        store = JobStore(backend=SharedDirectoryBackend(store_root, shared=False))
+        store.create("deadbeef00")
+        assert store.claim_next("owner") is None
+        assert sorted(p.name for p in store_root.iterdir()) == [
+            "index.lock", "jobs",
+        ]
 
 
 class TestSharedDirectoryBackend:
@@ -80,6 +88,55 @@ class TestSharedDirectoryBackend:
         assert backend.read_job("missing") is None
         (store_root / "jobs" / "bad.json").write_text("{not json")
         assert backend.read_job("bad") is None
+
+    def test_unreadable_index_rebuilds_seq_from_records(self, store_root):
+        backend = _backend(store_root)
+        for _ in range(3):
+            backend.write_job({"id": f"j{backend.allocate_seq():05d}-x"})
+        (store_root / "index.json").write_text("{torn")
+        # Restarting at 1 would mint ids that sort before the old ones
+        # and break the FIFO claim order.
+        assert backend.allocate_seq() == 4
+        backend.write_job({"id": "j00004-x"})
+        (store_root / "index.json").unlink()
+        assert _backend(store_root).allocate_seq() == 5
+
+    def test_leftover_temporaries_are_not_state(self, store_root):
+        backend = _backend(store_root)
+        backend.write_job({"id": "j00001-a"})
+        backend.enqueue("j00001-a")
+        for directory in ("jobs", "queue"):
+            (store_root / directory / ".j00002-b.json.x1y2.tmp").write_text("{")
+        (store_root / "queue" / ".j00002-b.x1y2.tmp").write_text("{")
+        assert backend.list_job_ids() == ["j00001-a"]
+        assert backend.queued_ids() == ["j00001-a"]
+        assert backend.claim_next("alice") == "j00001-a"
+        assert backend.claim_next("bob") is None
+
+    def test_in_flight_enqueue_is_never_claimed(self, store_root, monkeypatch):
+        """A replica scanning the queue while another one is mid-write.
+
+        The enqueuer's temporary marker must not be claimable: claiming
+        it handed a bogus id to the claimer and made the enqueuer's
+        rename fail, stranding a ``submitted`` job nobody runs.
+        """
+        writer = _backend(store_root)
+        racer = _backend(store_root)
+        real_replace = os.replace
+        seen = []
+
+        def racing_replace(src, dst):
+            if not seen:  # once, while the marker is still temporary
+                seen.append(None)
+                seen[0] = (racer.claim_next("racer"), racer.queued_ids())
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        writer.enqueue("j00001-abcdef0123")
+        monkeypatch.undo()
+        assert seen == [(None, [])]
+        assert writer.claim_next("owner") == "j00001-abcdef0123"
+        assert writer.claim_owner("j00001-abcdef0123") == "owner"
 
     def test_claims_are_fifo_and_exclusive(self, store_root):
         backend = _backend(store_root)
@@ -175,23 +232,19 @@ class TestSharedJobStore:
             assert adopted["state"] == JobState.CANCELLED
             assert not a.mark_running(claimed)
 
-    def test_backend_and_persist_path_are_exclusive(self, store_root):
-        with pytest.raises(ConfigurationError):
-            JobStore(persist_path="x.json", backend=_backend(store_root))
-
 
 class TestJobsConfigValidation:
     def test_store_dir_requires_checkpoint_dir(self, tmp_path):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             JobsConfig(store_dir=str(tmp_path / "store"))
 
-    def test_store_dir_excludes_persist_path(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="mutually"):
-            JobsConfig(
-                store_dir=str(tmp_path / "store"),
-                checkpoint_dir=str(tmp_path / "ckpt"),
-                persist_path=str(tmp_path / "jobs.json"),
-            )
+    def test_persist_path_is_an_unknown_key(self, tmp_path):
+        data = {"store_dir": str(tmp_path / "store"),
+                "checkpoint_dir": str(tmp_path / "ckpt"),
+                "persist_path": str(tmp_path / "jobs.json")}
+        with pytest.raises(ConfigurationError, match="persist_path"):
+            config_from_dict(JobsConfig, data)
+        assert "persist_path" not in config_to_dict(JobsConfig())
 
     def test_drain_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigurationError, match="drain_interval"):
@@ -213,7 +266,10 @@ def _shared_manager(tmp_path) -> JobManager:
         checkpoint_dir=str(tmp_path / "ckpt"),
     )
     return JobManager(
-        config, pool=WorkerPool(2), serializer=lambda analysis: dict(analysis)
+        config,
+        pool=WorkerPool(2),
+        serializer=lambda analysis: dict(analysis),
+        replicas=2,
     )
 
 

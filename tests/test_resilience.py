@@ -29,7 +29,13 @@ import pytest
 from repro.client import RetryPolicy, ServiceClient, ServiceError
 from repro.config import config_hash, config_to_dict, resolve_config
 from repro.errors import CircuitOpen, ReproError
-from repro.jobs import JobManager, JobsConfig, JobState, JobStore
+from repro.jobs import (
+    JobManager,
+    JobsConfig,
+    JobState,
+    JobStore,
+    SharedDirectoryBackend,
+)
 from repro.jobs.stream import FrameQueue, StreamIdleTimeout
 from repro.jobs.worker import JobWorkerPool
 from repro.perf.pool import WorkerPool
@@ -56,6 +62,11 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+def _owned_store(root, **kwargs) -> JobStore:
+    """A store persisted in a directory one process owns."""
+    return JobStore(backend=SharedDirectoryBackend(root, shared=False), **kwargs)
 
 
 class _SimulatedKill(BaseException):
@@ -200,17 +211,14 @@ class TestSpool:
 # ----------------------------------------------------------------------
 class TestStoreResume:
     def _crashed_store(self, tmp_path):
-        persist = tmp_path / "jobs.json"
-        store = JobStore(persist_path=str(persist))
+        store = _owned_store(tmp_path)
         payload = store.create("d" * 10, seed=1, config_hash="h")
         store.mark_running(payload["id"])
-        return persist, payload["id"]
+        return tmp_path, payload["id"]
 
     def test_resumable_job_requeues_as_submitted(self, tmp_path):
-        persist, job_id = self._crashed_store(tmp_path)
-        store = JobStore(
-            persist_path=str(persist), resumable=lambda _job_id: True
-        )
+        root, job_id = self._crashed_store(tmp_path)
+        store = _owned_store(root, resumable=lambda _job_id: True)
         payload = store.payload(job_id)
         assert payload["state"] == JobState.SUBMITTED
         assert payload["resumed"] is True
@@ -218,8 +226,8 @@ class TestStoreResume:
         assert [p["id"] for p in store.queued_jobs()] == [job_id]
 
     def test_without_spool_falls_back_to_interrupted(self, tmp_path):
-        persist, job_id = self._crashed_store(tmp_path)
-        store = JobStore(persist_path=str(persist))
+        root, job_id = self._crashed_store(tmp_path)
+        store = _owned_store(root)
         payload = store.payload(job_id)
         assert payload["state"] == JobState.FAILED
         assert payload["error"]["type"] == "Interrupted"
@@ -483,11 +491,11 @@ class TestManagerRecovery:
     def test_killed_batch_job_resumes_through_the_manager(
         self, tmp_path, fast_setup, fast_config
     ):
-        persist = str(tmp_path / "jobs.json")
+        store_dir = str(tmp_path / "store")
         checkpoints = str(tmp_path / "checkpoints")
 
         # Phase 1: the doomed process's leftovers.
-        store = JobStore(persist_path=persist)
+        store = _owned_store(store_dir)
         payload = store.create("d" * 10, seed=5, config_hash=fast_setup["hash"])
         job_id = payload["id"]
         store.mark_running(job_id)
@@ -512,7 +520,7 @@ class TestManagerRecovery:
         # Phase 2: restart.
         pool = WorkerPool(2, thread_name_prefix="recover-test")
         manager = JobManager(
-            JobsConfig(persist_path=persist, checkpoint_dir=checkpoints),
+            JobsConfig(store_dir=store_dir, checkpoint_dir=checkpoints),
             pool,
         )
         try:
@@ -554,9 +562,9 @@ class TestManagerRecovery:
         """
         from repro.service import ServiceConfig, ServiceHandle
 
-        persist = str(tmp_path / "jobs.json")
+        store_dir = str(tmp_path / "store")
         checkpoints = str(tmp_path / "checkpoints")
-        store = JobStore(persist_path=persist)
+        store = _owned_store(store_dir)
         job_id = store.create(
             "e" * 10, seed=5, config_hash=fast_setup["hash"]
         )["id"]
@@ -574,7 +582,7 @@ class TestManagerRecovery:
         )
 
         service_config = ServiceConfig(
-            jobs=JobsConfig(persist_path=persist, checkpoint_dir=checkpoints)
+            jobs=JobsConfig(store_dir=store_dir, checkpoint_dir=checkpoints)
         )
         with ServiceHandle(service_config=service_config) as handle:
             for _ in range(1200):

@@ -10,7 +10,7 @@ import urllib.request
 
 import numpy as np
 
-from repro.jobs import JobsConfig, JobStore
+from repro.jobs import JobsConfig, JobStore, SharedDirectoryBackend
 from repro.pipeline import AnalyzerConfig
 from repro.service import ServiceConfig, ServiceHandle, encode_video
 
@@ -43,7 +43,7 @@ class _ScriptedAnalyzer:
         self.started = started
 
     def analyze(self, video, annotation=None, rng=None,
-                instrumentation=None, cancel_token=None):
+                instrumentation=None, cancel_token=None, checkpointer=None):
         if self.started is not None:
             self.started.set()
         for stage in self.STAGES:
@@ -364,10 +364,18 @@ class TestListingAndMetrics:
             handle.stop()
 
 
+def _state_dir_jobs(tmp_path, **kwargs):
+    """The job config ``slj serve --state-dir tmp_path`` builds."""
+    return JobsConfig(
+        store_dir=str(tmp_path / "store"),
+        checkpoint_dir=str(tmp_path / "checkpoints"),
+        **kwargs,
+    )
+
+
 class TestPersistence:
     def test_result_survives_a_service_restart(self, tmp_path):
-        persist = tmp_path / "jobs.json"
-        jobs_config = JobsConfig(persist_path=str(persist))
+        jobs_config = _state_dir_jobs(tmp_path)
         handle = _stub_handle(_ScriptedAnalyzer(), jobs=jobs_config)
         try:
             _, payload, _ = _submit(handle.address, seed=11)
@@ -376,7 +384,7 @@ class TestPersistence:
         finally:
             handle.stop()
 
-        # a second service over the same file serves the old result
+        # a second service over the same directory serves the old result
         handle = _stub_handle(_ScriptedAnalyzer(), jobs=jobs_config)
         try:
             status, payload, _ = _request(
@@ -388,7 +396,34 @@ class TestPersistence:
             handle.stop()
 
         # and the raw store agrees
-        store = JobStore(persist_path=persist)
+        store = JobStore(
+            backend=SharedDirectoryBackend(tmp_path / "store", shared=False)
+        )
         record = store.payload(job_id, include_result=True)
         assert record["state"] == "succeeded"
         assert record["seed"] == 11
+
+    def test_expired_job_answers_410_after_a_restart(self, tmp_path):
+        jobs_config = _state_dir_jobs(tmp_path, result_ttl_seconds=0.5)
+        handle = _stub_handle(_ScriptedAnalyzer(), jobs=jobs_config)
+        try:
+            _, payload, _ = _submit(handle.address, seed=11)
+            job_id = payload["job"]["id"]
+            _poll_terminal(handle.address, job_id)
+        finally:
+            handle.stop()
+        time.sleep(0.6)
+
+        # The restarted service expires the job on its first read...
+        for _ in range(2):
+            handle = _stub_handle(_ScriptedAnalyzer(), jobs=jobs_config)
+            try:
+                status, payload, _ = _request(
+                    "GET", f"{handle.address}/v1/jobs/{job_id}/result"
+                )
+            finally:
+                handle.stop()
+            # ...and the next one still remembers the expired id.
+            assert status == 410
+            assert payload["error"]["type"] == "result_expired"
+        assert not (tmp_path / "store" / "jobs" / f"{job_id}.json").exists()
